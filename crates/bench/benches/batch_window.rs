@@ -1,18 +1,21 @@
-//! Throughput vs. batch window — the tuning curve behind the group
-//! commit in the sequencer's submit path.
+//! Throughput with group commit off vs on — the cost curve behind the
+//! sequencer's self-clocking batching.
 //!
-//! Eight concurrent submitters hammer a 4-host cluster while the
-//! coordinator's coalescing window sweeps {0 (off), 100µs, 1ms}. For
-//! each point we report AGS throughput and *ordered multicasts per
-//! AGS*: 1.000 with batching off (the classic one-record-per-AGS
-//! protocol), strictly below 1 once concurrent submits coalesce.
+//! Eight concurrent submitters hammer a 4-host cluster, once with
+//! `no_batching` (the classic one-record-per-AGS protocol) and once
+//! with the default group commit, where submits that queue up behind
+//! the coordinator's previous multicast coalesce into one batch record.
+//! For each point we report AGS throughput and *ordered multicasts per
+//! AGS*: exactly 1.000 with batching off, strictly below 1 with it on.
+//! Throughput is printed, not asserted: on a small host it spreads
+//! more between runs than it differs between the two settings.
 //!
 //! Besides the printed table, the run writes a `BENCH_msgs_per_ags.json`
 //! artifact (to `$BENCH_MSGS_PER_AGS_JSON` or the working directory)
 //! so CI can archive the curve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ftlinda::{Ags, Cluster, Operand, TsId};
+use ftlinda::{Ags, Cluster, ClusterBuilder, Operand, TsId};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -21,7 +24,7 @@ const SUBMITTERS: usize = 8;
 const PER_SUBMITTER: usize = 150;
 
 struct Point {
-    window_us: u64,
+    batching: bool,
     ags: u64,
     multicasts: u64,
     batches: u64,
@@ -50,16 +53,19 @@ fn wait_net_quiesced(cluster: &Cluster) {
     }
 }
 
-fn run_window(window: Duration) -> Point {
-    // Checkpoint markers would perturb the multicast-per-AGS accounting;
-    // measure the bare protocol.
-    let mut b = Cluster::builder().hosts(HOSTS).no_checkpoints();
-    if window.is_zero() {
-        b = b.no_batching();
+/// A 4-host cluster measuring the bare protocol: checkpoint markers
+/// would perturb the multicast-per-AGS accounting.
+fn builder(batching: bool) -> ClusterBuilder {
+    let b = Cluster::builder().hosts(HOSTS).no_checkpoints();
+    if batching {
+        b
     } else {
-        b = b.batch_window(window);
+        b.no_batching()
     }
-    let (cluster, rts) = b.build();
+}
+
+fn run_point(batching: bool) -> Point {
+    let (cluster, rts) = builder(batching).build();
     let ts: TsId = rts[0].create_stable_ts("main").unwrap();
     wait_net_quiesced(&cluster);
     cluster.order_stats().reset();
@@ -82,7 +88,7 @@ fn run_window(window: Duration) -> Point {
     wait_net_quiesced(&cluster);
     let stats = cluster.order_stats();
     let point = Point {
-        window_us: window.as_micros() as u64,
+        batching,
         ags: (SUBMITTERS * PER_SUBMITTER) as u64,
         multicasts: stats.ordered_multicasts(),
         batches: stats.batches(),
@@ -94,7 +100,7 @@ fn run_window(window: Duration) -> Point {
 }
 
 fn write_artifact(points: &[Point]) {
-    // The window-sweep points run on an unsharded (K=1) cluster; the
+    // The off/on points run on an unsharded (K=1) cluster; the
     // `shard_sweep` bench contributes the `shard_sweep` section of the
     // same artifact, so update only this bench's keys.
     let mut json = String::from("[\n");
@@ -102,11 +108,11 @@ fn write_artifact(points: &[Point]) {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"window_us\": {}, \"shards\": 1, \"ags\": {}, \
+            "    {{\"batching\": {}, \"shards\": 1, \"ags\": {}, \
              \"ordered_multicasts\": {}, \
              \"batches\": {}, \"batch_entries\": {}, \"multicasts_per_ags\": {:.4}, \
              \"ags_per_sec\": {:.1}}}{comma}",
-            p.window_us,
+            p.batching,
             p.ags,
             p.multicasts,
             p.batches,
@@ -130,63 +136,46 @@ fn write_artifact(points: &[Point]) {
 }
 
 fn bench(c: &mut Criterion) {
-    println!("\nThroughput vs batch window — {SUBMITTERS} submitters, {HOSTS} hosts:");
+    println!("\nThroughput with group commit off vs on — {SUBMITTERS} submitters, {HOSTS} hosts:");
     println!(
         "    {:<12} {:>8} {:>12} {:>10} {:>16} {:>12}",
-        "window", "AGSs", "multicasts", "batches", "multicasts/AGS", "AGS/sec"
+        "batching", "AGSs", "multicasts", "batches", "multicasts/AGS", "AGS/sec"
     );
     let mut points = Vec::new();
-    for window in [
-        Duration::ZERO,
-        Duration::from_micros(100),
-        Duration::from_millis(1),
-    ] {
-        let p = run_window(window);
+    for batching in [false, true] {
+        let p = run_point(batching);
         println!(
             "    {:<12} {:>8} {:>12} {:>10} {:>16.3} {:>12.0}",
-            if p.window_us == 0 {
-                "off".to_string()
-            } else {
-                format!("{}us", p.window_us)
-            },
+            if batching { "on" } else { "off" },
             p.ags,
             p.multicasts,
             p.batches,
             p.multicasts as f64 / p.ags as f64,
             p.ags_per_sec,
         );
-        if p.window_us == 0 {
-            assert_eq!(p.multicasts, p.ags, "off: one ordered multicast per AGS");
-        } else {
+        if batching {
             assert!(
                 p.multicasts < p.ags,
-                "window {}us: coalescing must order fewer multicasts ({}) than AGSs ({})",
-                p.window_us,
+                "group commit must order fewer multicasts ({}) than AGSs ({})",
                 p.multicasts,
                 p.ags
             );
+        } else {
+            assert_eq!(p.multicasts, p.ags, "off: one ordered multicast per AGS");
         }
         points.push(p);
     }
     println!();
     write_artifact(&points);
 
-    // Criterion angle: end-to-end latency of one contended burst at each
-    // window setting (dominated by the flush cadence).
+    // Criterion angle: end-to-end latency of one contended burst with
+    // group commit off and on.
     let mut g = c.benchmark_group("batch_window");
     g.sample_size(10).measurement_time(Duration::from_secs(2));
-    for (label, window) in [
-        ("off", Duration::ZERO),
-        ("100us", Duration::from_micros(100)),
-    ] {
-        let mut b = Cluster::builder().hosts(HOSTS).no_checkpoints();
-        if window.is_zero() {
-            b = b.no_batching();
-        } else {
-            b = b.batch_window(window);
-        }
-        let (cluster, rts) = b.build();
+    for batching in [false, true] {
+        let (cluster, rts) = builder(batching).build();
         let ts = rts[0].create_stable_ts("bench").unwrap();
+        let label = if batching { "on" } else { "off" };
         g.bench_function(format!("burst8_{label}"), |bch| {
             bch.iter(|| {
                 std::thread::scope(|s| {

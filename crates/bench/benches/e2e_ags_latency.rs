@@ -36,10 +36,9 @@ fn bench(c: &mut Criterion) {
         } else {
             NetConfig::lan(Duration::from_micros(lat_us))
         };
-        // Batching off: a sequential closed-loop client would otherwise
-        // measure the group-commit window (~100 µs queueing per submit),
-        // not the ordering protocol. The batch-queueing cost is measured
-        // separately below (and by the `batch_window` bench).
+        // Batching off: the classic one-multicast-per-AGS protocol. What
+        // the default group commit adds for a sequential client is
+        // measured separately below (and under load by `batch_window`).
         let (cluster, rts) = Cluster::builder().hosts(3).net(cfg).no_batching().build();
         let ts = rts[0].create_stable_ts("main").unwrap();
         rts[0].out(ts, linda_tuple::tuple!("count", 0)).unwrap();
@@ -75,8 +74,9 @@ fn bench(c: &mut Criterion) {
     g.finish();
 
     // The queueing delay group commit adds for a sequential client, read
-    // from the coordinator's own batch histograms: pipelined submits
-    // amortize it, sequential ones pay up to the window per AGS.
+    // from the coordinator's own batch histograms. A sequential submit
+    // finds the coordinator idle, so its batch flushes as soon as the
+    // submit is handled.
     println!("\nE3c — batch queueing delay (default group commit, 0 µs links):");
     {
         let (cluster, rts) = Cluster::builder().hosts(3).build();

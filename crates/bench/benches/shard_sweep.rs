@@ -7,7 +7,7 @@
 //! process pays the NIC fan-out for *every* ordered multicast. We model
 //! that resource with the simulator's per-host NIC service-time model
 //! (`NicModel::ethernet_10mb`, the paper's 10 Mb Ethernet testbed) and
-//! sweep K ∈ {1, 2, 4} with group commit off (window = 0): every AGS
+//! sweep K ∈ {1, 2, 4} with group commit off (`no_batching`): every AGS
 //! pays full fan-out, so the sweep isolates what sharding alone buys.
 //! Eight submitters each hammer a *distinct* signature, chosen so the
 //! signatures spread evenly across shards (2 per shard at K=4, and —
@@ -22,7 +22,7 @@
 //!
 //! Results land in the `shard_sweep` section of
 //! `BENCH_msgs_per_ags.json` (`$BENCH_MSGS_PER_AGS_JSON`), next to the
-//! K=1 window-sweep points written by `batch_window`. The K=4 / K=1
+//! K=1 batching off/on points written by `batch_window`. The K=4 / K=1
 //! speedup is asserted ≥ `$SHARD_SWEEP_MIN_SPEEDUP` (default 2).
 
 use consul_sim::{NetConfig, NicModel};
@@ -167,7 +167,7 @@ fn write_artifact(points: &[Point], speedup: f64) {
     let _ = writeln!(
         json,
         "    \"hosts\": {HOSTS}, \"submitters\": {SUBMITTERS}, \
-         \"window_us\": 0, \"nic\": \"ethernet_10mb\",\n    \"points\": ["
+         \"batching\": false, \"nic\": \"ethernet_10mb\",\n    \"points\": ["
     );
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };
@@ -223,7 +223,7 @@ fn bench(c: &mut Criterion) {
 
     println!(
         "\nShard sweep — {SUBMITTERS} submitters on distinct signatures, \
-         {HOSTS} hosts, window off, 10 Mb-Ethernet NIC model:"
+         {HOSTS} hosts, batching off, 10 Mb-Ethernet NIC model:"
     );
     println!(
         "    {:<8} {:>8} {:>12} {:>12} {:>10} {:>12}",

@@ -228,7 +228,7 @@ pub fn print_stage_attribution(regs: &[std::sync::Arc<linda_obs::Registry>]) {
 // Bench artifact files
 //
 // Several bench targets contribute sections to the same JSON artifact
-// (`BENCH_msgs_per_ags.json`): `batch_window` owns the window-sweep
+// (`BENCH_msgs_per_ags.json`): `batch_window` owns the batching off/on
 // points and `shard_sweep` owns the shard-sweep section. Each writer
 // updates only its own top-level keys so the benches can run in any
 // order (or alone) without clobbering the other's results.

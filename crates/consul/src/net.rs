@@ -504,6 +504,13 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
         v
     }
 
+    /// Messages and detector notices scheduled but not yet handed to an
+    /// inbox (zero once the network has drained).
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
+        self.inner.state.lock().queue.len()
+    }
+
     /// The configuration this network was built with.
     pub fn config(&self) -> &NetConfig {
         &self.inner.cfg

@@ -48,7 +48,7 @@ use crate::stats::OrderStats;
 use crate::tcp::TcpLane;
 use crate::transport::SeqNet;
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -56,23 +56,20 @@ use std::time::{Duration, Instant};
 
 /// Group-commit tuning for the coordinator's submit path.
 ///
-/// The flush policy is adaptive: a submit that arrives while the
-/// coordinator has been idle for at least `window` is multicast
-/// immediately (zero added latency for sequential workloads), while
-/// submits arriving faster than one per `window` are coalesced into a
-/// single [`RecordBody::Batch`] multicast, flushed when the window
-/// deadline passes or the batch reaches `max_entries`.
+/// The flush policy is self-clocking: after handling an event the
+/// coordinator's member thread keeps taking whatever is already queued
+/// in its inbox, and multicasts the open batch as soon as the inbox is
+/// empty. A submit reaching an idle coordinator therefore goes out
+/// alone with no added latency, while submits that queued up behind the
+/// previous multicast coalesce into a single [`RecordBody::Batch`].
+/// These two limits only bound how large one such batch may grow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Coalescing window. `Duration::ZERO` disables batching entirely:
-    /// every submit is multicast as a solo record, byte-for-byte the
-    /// pre-batching wire protocol.
-    pub window: Duration,
-    /// Flush as soon as this many submits have coalesced, even if the
-    /// window has not yet expired.
+    /// Flush as soon as this many submits have coalesced. `1` disables
+    /// batching: every submit is multicast as a solo record,
+    /// byte-for-byte the pre-batching wire protocol.
     pub max_entries: usize,
     /// Flush as soon as the coalesced payload bytes reach this size,
-    /// even if neither the window nor `max_entries` has been hit —
     /// bounding the wire size of one ordered multicast. `0` disables
     /// the byte trigger. The active threshold is exported as the
     /// `ftlinda_batch_max_bytes` gauge.
@@ -82,7 +79,6 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            window: Duration::from_micros(100),
             max_entries: 64,
             max_bytes: 256 * 1024,
         }
@@ -93,15 +89,9 @@ impl BatchConfig {
     /// Batching off: wire-compatible with the pre-batching protocol.
     pub fn disabled() -> Self {
         BatchConfig {
-            window: Duration::ZERO,
             max_entries: 1,
             max_bytes: 0,
         }
-    }
-
-    /// Whether the coordinator coalesces at all.
-    pub fn enabled(&self) -> bool {
-        self.window > Duration::ZERO
     }
 }
 
@@ -147,66 +137,6 @@ impl CheckpointConfig {
     /// Whether the coordinator emits markers at all.
     pub fn enabled(&self) -> bool {
         self.every > 0
-    }
-}
-
-/// Deadline timer shared between a member's protocol state (which arms
-/// it while holding the state lock) and its flusher thread (which waits
-/// on it and then takes the state lock). Lock order is strictly
-/// state → timer; the flusher always releases the timer lock before
-/// touching state, so the two locks are never held in opposite orders.
-struct FlushTimer {
-    inner: Mutex<TimerInner>,
-    cv: Condvar,
-}
-
-struct TimerInner {
-    deadline: Option<Instant>,
-    closed: bool,
-}
-
-impl FlushTimer {
-    fn new() -> Self {
-        FlushTimer {
-            inner: Mutex::new(TimerInner {
-                deadline: None,
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Arm (or move) the deadline. Called with the state lock held.
-    fn arm(&self, deadline: Instant) {
-        self.inner.lock().deadline = Some(deadline);
-        self.cv.notify_one();
-    }
-
-    /// Permanently shut the timer down; the flusher thread exits.
-    fn close(&self) {
-        self.inner.lock().closed = true;
-        self.cv.notify_one();
-    }
-
-    /// Block until an armed deadline passes (consuming it) or the timer
-    /// is closed. Returns `false` on close.
-    fn wait_due(&self) -> bool {
-        let mut g = self.inner.lock();
-        loop {
-            if g.closed {
-                return false;
-            }
-            match g.deadline {
-                None => self.cv.wait(&mut g),
-                Some(d) => {
-                    if Instant::now() >= d {
-                        g.deadline = None;
-                        return true;
-                    }
-                    let _ = self.cv.wait_until(&mut g, d);
-                }
-            }
-        }
     }
 }
 
@@ -414,6 +344,8 @@ struct State {
     sync_checkpoint: Option<CheckpointImage>,
     sync_retired: Vec<(HostId, LocalId)>,
     sync_failed: Vec<HostId>,
+    /// Submits held until this member finishes an election sync (as
+    /// coordinator-elect, or parked before its own detector fired).
     buffered_submits: Vec<(HostId, LocalId, Bytes)>,
     buffered_nacks: Vec<(HostId, u64)>,
     pending_fails: BTreeSet<HostId>,
@@ -421,7 +353,9 @@ struct State {
 
     // Group commit (coordinator only). Entries in `batch` already hold
     // assigned sequence numbers `batch_first .. batch_first + len`; they
-    // are multicast (and only then logged) when the batch flushes.
+    // are multicast (and only then logged) when the batch flushes. A
+    // batch only stays open while the member thread drains its inbox,
+    // so it is empty whenever the state lock is free.
     batch_cfg: BatchConfig,
     batch: Vec<BatchEntry>,
     /// Enqueue instants parallel to `batch` (kept out of [`BatchEntry`],
@@ -431,9 +365,6 @@ struct State {
     batch_bytes: usize,
     batch_first: u64,
     batch_opened_at: Instant,
-    batch_deadline: Option<Instant>,
-    last_flush: Instant,
-    flush_timer: Arc<FlushTimer>,
     batch_size_hist: Arc<linda_obs::Histogram>,
     batch_flush_hist: Arc<linda_obs::Histogram>,
 
@@ -578,10 +509,22 @@ impl State {
             SeqMsg::Submit { local, payload } => {
                 if self.is_coord() {
                     self.coord_submit(from, local, payload);
+                } else {
+                    // The origin's detector fired before ours and it
+                    // resubmitted to us as the coordinator-elect. Nothing
+                    // resends it later, so park it: `finish_sync` replays
+                    // it if we take over, and `coord_submit` dedups it.
+                    self.buffered_submits.push((from, local, payload));
                 }
-                // else: drop; origin resubmits after its detector fires.
             }
-            SeqMsg::Ordered(rec) => self.accept_record(rec),
+            SeqMsg::Ordered(rec) => {
+                if from == self.coord && !self.is_coord() {
+                    // Another coordinator is synced and ordering: origins
+                    // resubmit to it themselves, so parked submits retire.
+                    self.buffered_submits.clear();
+                }
+                self.accept_record(rec)
+            }
             SeqMsg::SyncQuery { have } => {
                 if have < self.log_base {
                     // The elect is behind our compaction watermark: no
@@ -781,7 +724,6 @@ impl State {
         self.batch.clear();
         self.batch_enqueued.clear();
         self.batch_bytes = 0;
-        self.batch_deadline = None;
         self.buffered_submits.clear();
         self.buffered_nacks.clear();
         self.pending_joins.clear();
@@ -1304,8 +1246,9 @@ impl State {
     }
 
     /// Coordinator path for a submission: assign the next sequence number
-    /// (or answer a duplicate with a retransmission) and distribute,
-    /// then emit a checkpoint marker if the interval has elapsed.
+    /// (or answer a duplicate with a retransmission) and add it to the
+    /// open batch, then emit a checkpoint marker if the interval has
+    /// elapsed and no batch is open.
     fn coord_submit(&mut self, origin: HostId, local: LocalId, payload: Bytes) {
         self.coord_submit_inner(origin, local, payload);
         self.maybe_mark_checkpoint();
@@ -1354,64 +1297,25 @@ impl State {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.assigned.insert((origin, local), seq);
-        if !self.batch_cfg.enabled() {
-            self.flush_span(origin, local, seq, 1, Duration::ZERO);
-            self.distribute(Record {
-                seq,
-                origin,
-                local,
-                body: RecordBody::App(payload),
-            });
-            return;
-        }
         let now = Instant::now();
         if self.batch.is_empty() {
-            if now.duration_since(self.last_flush) >= self.batch_cfg.window {
-                // Idle coordinator: flush solo immediately, so batching
-                // adds zero latency to sequential workloads.
-                self.last_flush = now;
-                self.flush_span(origin, local, seq, 1, Duration::ZERO);
-                self.distribute(Record {
-                    seq,
-                    origin,
-                    local,
-                    body: RecordBody::App(payload),
-                });
-                return;
-            }
-            // A multicast left within the last window — open a batch and
-            // let further concurrent submits pile in until the deadline.
             self.batch_first = seq;
             self.batch_opened_at = now;
-            self.batch_bytes = payload.len();
-            let deadline = self.last_flush + self.batch_cfg.window;
-            self.batch_deadline = Some(deadline);
-            self.batch.push(BatchEntry {
-                origin,
-                local,
-                payload,
-            });
-            self.batch_enqueued.push(now);
-            self.flush_timer.arm(deadline);
-            if self.batch_full() {
-                self.flush_batch();
-            }
-        } else {
-            self.batch_bytes += payload.len();
-            self.batch.push(BatchEntry {
-                origin,
-                local,
-                payload,
-            });
-            self.batch_enqueued.push(now);
-            if self.batch_full() {
-                self.flush_batch();
-            }
+        }
+        self.batch_bytes += payload.len();
+        self.batch.push(BatchEntry {
+            origin,
+            local,
+            payload,
+        });
+        self.batch_enqueued.push(now);
+        if self.batch_full() {
+            self.flush_batch();
         }
     }
 
     /// Whether either size trigger (entries or bytes) says the open
-    /// batch must flush now rather than wait out the window.
+    /// batch must flush now rather than keep coalescing the backlog.
     fn batch_full(&self) -> bool {
         self.batch.len() >= self.batch_cfg.max_entries
             || (self.batch_cfg.max_bytes > 0 && self.batch_bytes >= self.batch_cfg.max_bytes)
@@ -1443,9 +1347,7 @@ impl State {
         let entries = std::mem::take(&mut self.batch);
         let enqueued = std::mem::take(&mut self.batch_enqueued);
         self.batch_bytes = 0;
-        self.batch_deadline = None;
         let now = Instant::now();
-        self.last_flush = now;
         self.batch_flush_hist
             .observe(now.duration_since(self.batch_opened_at));
         self.batch_size_hist.observe_seconds(entries.len() as f64);
@@ -1481,16 +1383,13 @@ impl State {
         }
     }
 
-    /// Flusher-thread entry: flush only if the state's own deadline has
-    /// actually passed (the timer may have fired for a batch that was
-    /// already flushed by the `max_entries` trigger).
-    fn flush_batch_due(&mut self) {
-        if let Some(d) = self.batch_deadline {
-            if Instant::now() >= d {
-                self.flush_batch();
-                self.maybe_mark_checkpoint();
-            }
-        }
+    /// Group-commit point: multicast the open batch, then emit a
+    /// checkpoint marker if one is due. Runs once the member thread's
+    /// inbox is empty, and after a submit on the coordinator's own
+    /// client thread.
+    fn commit_batch(&mut self) {
+        self.flush_batch();
+        self.maybe_mark_checkpoint();
     }
 
     /// Multicast an ordered record to all recipients and self-deliver.
@@ -1608,7 +1507,6 @@ pub struct SeqMember {
     stop: Arc<AtomicBool>,
     obs: Arc<linda_obs::Registry>,
     join_error: Arc<Mutex<Option<String>>>,
-    flush_timer: Arc<FlushTimer>,
 }
 
 /// Factory/controller for a sequencer group over a simulated network,
@@ -1774,12 +1672,7 @@ impl SeqGroup {
             "Byte threshold that force-flushes an open batch (0 = no byte trigger)",
             linda_obs::GaugeMerge::Max,
         )
-        .set(if batch.enabled() {
-            batch.max_bytes as i64
-        } else {
-            0
-        });
-        let flush_timer = Arc::new(FlushTimer::new());
+        .set(batch.max_bytes as i64);
         let hb = net.heartbeats();
         let now = Instant::now();
         let state = Arc::new(Mutex::new(State {
@@ -1827,10 +1720,6 @@ impl SeqGroup {
             batch_bytes: 0,
             batch_first: 0,
             batch_opened_at: now,
-            batch_deadline: None,
-            // Start "long idle" so the very first submit flushes solo.
-            last_flush: now.checked_sub(batch.window).unwrap_or(now),
-            flush_timer: flush_timer.clone(),
             batch_size_hist,
             batch_flush_hist,
             hb,
@@ -1861,48 +1750,34 @@ impl SeqGroup {
             stop: stop.clone(),
             obs,
             join_error: Arc::new(Mutex::new(None)),
-            flush_timer: flush_timer.clone(),
         };
-        if batch.enabled() {
-            // Dedicated flusher: the member thread can sit in a long
-            // `recv_timeout`, and the coordinator path may run on a
-            // client thread, so neither can meet a sub-millisecond batch
-            // deadline. The flusher sleeps on the timer (timer lock
-            // only) and takes the state lock only after releasing it.
-            let flusher_state = state.clone();
-            let flusher_timer = flush_timer.clone();
-            std::thread::Builder::new()
-                .name(format!("flush-{me}"))
-                .spawn(move || {
-                    while flusher_timer.wait_due() {
-                        flusher_state.lock().flush_batch_due();
-                    }
-                })
-                .expect("spawn flusher");
-        }
         let tick = hb
             .map(|hb| (hb.period / 2).max(Duration::from_millis(1)))
             .unwrap_or(Duration::from_millis(50));
         std::thread::Builder::new()
             .name(format!("seq-{me}"))
-            .spawn(move || {
-                loop {
-                    if stop.load(AtomicOrdering::Relaxed) {
-                        break;
-                    }
-                    match rx.recv_timeout(tick) {
-                        Ok(ev) => {
-                            let mut st = state.lock();
-                            st.on_event(ev);
-                            st.heartbeat_tick();
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            state.lock().heartbeat_tick();
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+            .spawn(move || loop {
+                if stop.load(AtomicOrdering::Relaxed) {
+                    break;
+                }
+                let first = match rx.recv_timeout(tick) {
+                    Ok(ev) => Some(ev),
+                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
+                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                };
+                let mut st = state.lock();
+                if let Some(ev) = first {
+                    st.on_event(ev);
+                    // Self-clocking group commit: take everything that
+                    // queued up while we were busy, then flush once the
+                    // inbox is empty. Submits coalesce only when they
+                    // arrive faster than the coordinator orders them.
+                    while let Ok(ev) = rx.try_recv() {
+                        st.on_event(ev);
                     }
                 }
-                flush_timer.close();
+                st.heartbeat_tick();
+                st.commit_batch();
             })
             .expect("spawn member");
         member
@@ -2063,8 +1938,11 @@ impl SeqMember {
         st.broadcast_at.insert(local, Instant::now());
         st.ba_inserts += 1;
         if st.is_coord() {
+            // No inbox backlog stands behind a submit from the
+            // coordinator's own client thread: commit it at once.
             let me = st.me;
             st.coord_submit(me, local, payload);
+            st.commit_batch();
         } else {
             let (me, coord) = (st.me, st.coord);
             drop(st);
@@ -2081,7 +1959,6 @@ impl SeqMember {
     /// Stop this member's protocol thread (teardown).
     pub fn stop(&self) {
         self.stop.store(true, AtomicOrdering::Relaxed);
-        self.flush_timer.close();
     }
 
     /// Number of records this member has delivered (or skipped past via a
@@ -2388,6 +2265,72 @@ mod tests {
         g.shutdown();
     }
 
+    /// Wait until the simulated network has handed every scheduled
+    /// message to its inbox.
+    fn wait_net_drained(g: &SeqGroup) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while g.net().in_flight() > 0 {
+            assert!(Instant::now() < deadline, "network never drained");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// An origin whose detector fires before the elect's resubmits to a
+    /// member that is not coordinator yet. The elect parks the submit
+    /// and orders it once it takes over, instead of dropping it.
+    #[test]
+    fn early_resubmit_to_elect_is_ordered_after_failover() {
+        let (g, ms) = SeqGroup::new(3, NetConfig::instant());
+        let post = Bytes::from_static(b"post");
+        g.net().send(
+            HostId(2),
+            HostId(1),
+            SeqMsg::Submit {
+                local: 1_000,
+                payload: post.clone(),
+            },
+        );
+        wait_net_drained(&g);
+        g.crash(HostId(0));
+        for m in &ms[1..] {
+            let ds = drain_until(
+                m,
+                |d| matches!(d, Delivery::App { payload, .. } if *payload == post),
+                Duration::from_secs(3),
+            );
+            assert!(
+                ds.iter()
+                    .any(|d| matches!(d, Delivery::App { payload, .. } if *payload == post)),
+                "{}: parked submit lost in failover",
+                m.host()
+            );
+        }
+        assert_logs_converge(&ms[1], &ms[2], Duration::from_secs(3));
+        g.shutdown();
+    }
+
+    /// The parked set stays bounded: once the member hears an ordered
+    /// record from a synced coordinator, origins resubmit to that
+    /// coordinator themselves and the parked submits are dropped.
+    #[test]
+    fn parked_submits_retire_when_coordinator_orders() {
+        let (g, ms) = SeqGroup::new(3, NetConfig::instant());
+        g.net().send(
+            HostId(2),
+            HostId(1),
+            SeqMsg::Submit {
+                local: 1_000,
+                payload: Bytes::from_static(b"stray"),
+            },
+        );
+        wait_net_drained(&g);
+        assert_eq!(ms[1].state.lock().buffered_submits.len(), 1);
+        ms[0].broadcast(Bytes::from_static(b"x"));
+        let _ = collect_n(&ms[1], 1, Duration::from_secs(2));
+        assert!(ms[1].state.lock().buffered_submits.is_empty());
+        g.shutdown();
+    }
+
     #[test]
     fn double_failover() {
         let (g, ms) = SeqGroup::new(4, NetConfig::instant());
@@ -2475,30 +2418,29 @@ mod tests {
         g.shutdown();
     }
 
+    /// Queue up `submit`'s broadcasts in the coordinator's inbox while
+    /// the test holds the coordinator's state lock, so its member thread
+    /// finds them all waiting at once: the backlog a self-clocking group
+    /// commit turns into batches.
+    fn queue_behind_coordinator(g: &SeqGroup, coord: &SeqMember, submit: impl FnOnce()) {
+        let held = coord.state.lock();
+        submit();
+        wait_net_drained(g);
+        drop(held);
+    }
+
     #[test]
     fn concurrent_submits_coalesce_into_batches() {
-        let batch = BatchConfig {
-            window: Duration::from_millis(5),
-            max_entries: 64,
-            ..BatchConfig::default()
-        };
-        let (g, ms) = SeqGroup::new_with_batch(3, NetConfig::instant(), batch);
-        let ms = Arc::new(ms);
-        let per = 100;
-        let threads: Vec<_> = (0..3)
-            .map(|i| {
-                let ms = ms.clone();
-                std::thread::spawn(move || {
-                    for k in 0..per {
-                        ms[i].broadcast(Bytes::from(format!("{i}:{k}")));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let total = per * 3;
+        let (g, ms) = SeqGroup::new(3, NetConfig::instant());
+        let per = 10;
+        queue_behind_coordinator(&g, &ms[0], || {
+            for k in 0..per {
+                for m in &ms[1..] {
+                    m.broadcast(Bytes::from(format!("{}:{k}", m.host())));
+                }
+            }
+        });
+        let total = per * 2;
         let log0 = collect_n(&ms[0], total, Duration::from_secs(10));
         assert_eq!(log0.len(), total, "every submit delivered");
         let mut seen = HashSet::new();
@@ -2509,13 +2451,10 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), total);
-        assert!(
-            g.stats().ordered_multicasts() < g.stats().broadcasts(),
-            "group commit must amortize: {} multicasts for {} broadcasts",
-            g.stats().ordered_multicasts(),
-            g.stats().broadcasts()
-        );
-        assert!(g.stats().batches() >= 1, "at least one multi-entry batch");
+        // The whole backlog was waiting in one drain: one multicast.
+        assert_eq!(g.stats().ordered_multicasts(), 1);
+        assert_eq!(g.stats().batches(), 1);
+        assert_eq!(g.stats().batch_entries(), total as u64);
         assert_logs_converge(&ms[0], &ms[1], Duration::from_secs(3));
         assert_logs_converge(&ms[1], &ms[2], Duration::from_secs(3));
         g.shutdown();
@@ -2537,54 +2476,58 @@ mod tests {
         g.shutdown();
     }
 
-    /// Liveness of the deadline flusher: rapid submits that coalesce must
-    /// still deliver without any further traffic to trigger a flush.
+    /// Liveness of the self-clocking flush: a drained backlog goes out
+    /// as soon as the inbox is empty, with no further traffic (and no
+    /// size trigger) to push it.
     #[test]
-    fn open_batch_flushes_on_deadline() {
+    fn drained_backlog_flushes_without_further_traffic() {
         let batch = BatchConfig {
-            window: Duration::from_millis(5),
             max_entries: 1024,
             ..BatchConfig::default()
         };
         let (g, ms) = SeqGroup::new_with_batch(2, NetConfig::instant(), batch);
-        for i in 0..10 {
-            ms[1].broadcast(Bytes::from(format!("{i}")));
-        }
+        queue_behind_coordinator(&g, &ms[0], || {
+            for i in 0..10 {
+                ms[1].broadcast(Bytes::from(format!("{i}")));
+            }
+        });
         let ds = collect_n(&ms[1], 10, Duration::from_secs(5));
-        assert_eq!(ds.len(), 10, "deadline flush must drain the batch");
+        assert_eq!(ds.len(), 10, "empty inbox must flush the batch");
         for (i, d) in ds.iter().enumerate() {
             assert_eq!(d.seq(), (i + 1) as u64);
         }
+        assert_eq!(g.stats().batches(), 1);
+        assert_eq!(g.stats().batch_entries(), 10);
         g.shutdown();
     }
 
-    /// The byte-size trigger: a long window and a huge entry cap, but a
-    /// small byte threshold, must still flush as soon as the coalesced
-    /// payloads cross the threshold — no waiting out the window.
+    /// The byte-size trigger: with a huge entry cap but a small byte
+    /// threshold, a backlog of ten 1 KiB submits splits into 4 + 4 + 2
+    /// instead of going out as one multicast.
     #[test]
     fn open_batch_flushes_on_byte_threshold() {
         let batch = BatchConfig {
-            window: Duration::from_secs(5),
             max_entries: 1024,
             max_bytes: 4 * 1024,
         };
         let (g, ms) = SeqGroup::new_with_batch(2, NetConfig::instant(), batch);
         let payload = Bytes::from(vec![7u8; 1024]);
-        // First submit flushes solo (idle); the next four coalesce and
-        // their 4 KiB crosses the threshold well before the 5 s window.
-        let t0 = Instant::now();
-        for _ in 0..5 {
-            ms[1].broadcast(payload.clone());
-        }
-        let ds = collect_n(&ms[1], 5, Duration::from_secs(3));
-        assert_eq!(ds.len(), 5, "byte trigger must flush the batch");
-        assert!(
-            t0.elapsed() < Duration::from_secs(4),
-            "flush must not wait for the window deadline"
-        );
+        queue_behind_coordinator(&g, &ms[0], || {
+            for _ in 0..10 {
+                ms[1].broadcast(payload.clone());
+            }
+        });
+        let ds = collect_n(&ms[1], 10, Duration::from_secs(3));
+        assert_eq!(ds.len(), 10, "byte trigger must flush the batch");
         for (i, d) in ds.iter().enumerate() {
             assert_eq!(d.seq(), (i + 1) as u64);
         }
+        assert_eq!(
+            g.stats().ordered_multicasts(),
+            3,
+            "4 KiB + 4 KiB + the rest"
+        );
+        assert_eq!(g.stats().batch_entries(), 10);
         g.shutdown();
     }
 
@@ -2593,18 +2536,13 @@ mod tests {
     /// size and queueing delay.
     #[test]
     fn spans_cover_flush_and_deliver() {
-        let (g, ms) = SeqGroup::new_with_batch(
-            2,
-            NetConfig::instant(),
-            BatchConfig {
-                window: Duration::from_millis(2),
-                ..BatchConfig::default()
-            },
-        );
+        let (g, ms) = SeqGroup::new(2, NetConfig::instant());
         let mut locals = Vec::new();
-        for i in 0..8 {
-            locals.push((HostId(1), ms[1].broadcast(Bytes::from(format!("{i}")))));
-        }
+        queue_behind_coordinator(&g, &ms[0], || {
+            for i in 0..8 {
+                locals.push((HostId(1), ms[1].broadcast(Bytes::from(format!("{i}")))));
+            }
+        });
         let _ = collect_n(&ms[1], 8, Duration::from_secs(5));
         // Wait for member 1's deliveries to also land in member 0's log.
         assert_logs_converge(&ms[0], &ms[1], Duration::from_secs(3));
@@ -2614,7 +2552,7 @@ mod tests {
             let flush: Vec<_> = flush.iter().filter(|s| s.stage == "flush").collect();
             assert_eq!(flush.len(), 1, "exactly one flush span at the coordinator");
             assert!(flush[0].field("queued_us").is_some());
-            assert!(flush[0].field("batch").is_some());
+            assert_eq!(flush[0].field("batch"), Some("8"));
             for m in &ms {
                 let deliver = m
                     .obs()
@@ -2653,17 +2591,15 @@ mod tests {
     /// lands after the batched entries in the total order.
     #[test]
     fn view_change_flushes_open_batch_first() {
-        let batch = BatchConfig {
-            window: Duration::from_millis(500),
-            max_entries: 1024,
-            ..BatchConfig::default()
-        };
-        let (g, ms) = SeqGroup::new_with_batch(3, NetConfig::instant(), batch);
-        ms[1].broadcast(Bytes::from_static(b"a")); // solo (idle flush)
-        ms[1].broadcast(Bytes::from_static(b"b")); // opens a batch
-        ms[1].broadcast(Bytes::from_static(b"c")); // joins the batch
-        std::thread::sleep(Duration::from_millis(50));
-        g.crash(HostId(2));
+        let (g, ms) = SeqGroup::new(3, NetConfig::instant());
+        // The crash notice queues behind the three submits, so it is
+        // handled while they sit in the open batch.
+        queue_behind_coordinator(&g, &ms[0], || {
+            for p in [b"a", b"b", b"c"] {
+                ms[1].broadcast(Bytes::from_static(p));
+            }
+            g.crash(HostId(2));
+        });
         let ds = collect_n(&ms[0], 4, Duration::from_secs(5));
         assert_eq!(ds.len(), 4);
         assert!(matches!(&ds[0], Delivery::App { payload, .. } if &payload[..] == b"a"));
@@ -2674,6 +2610,7 @@ mod tests {
             "Fail must follow the flushed batch, got {:?}",
             ds[3]
         );
+        assert_eq!(g.stats().batches(), 1, "a, b and c went out as one batch");
         assert_logs_converge(&ms[0], &ms[1], Duration::from_secs(3));
         g.shutdown();
     }
@@ -2931,11 +2868,7 @@ mod tests {
 
     #[test]
     fn broadcast_timestamps_drain_at_quiescence() {
-        let batch = BatchConfig {
-            window: Duration::from_millis(2),
-            ..BatchConfig::default()
-        };
-        let (g, ms) = SeqGroup::new_with_batch(3, NetConfig::instant(), batch);
+        let (g, ms) = SeqGroup::new(3, NetConfig::instant());
         let ms = Arc::new(ms);
         let per = 50;
         let threads: Vec<_> = (0..3)

@@ -184,7 +184,7 @@ fn gap_repair_after_failover() {
 }
 
 /// Batching under fire: crash the coordinator while three concurrent
-/// submitters keep open batches in flight, then restart it. Every
+/// submitters keep batch records in flight, then restart it. Every
 /// survivor-submitted message must appear exactly once, in one total
 /// order shared by the survivors and the rejoined host — a partially
 /// acked batch must never be split, reordered, or double-applied.
@@ -199,7 +199,6 @@ fn coordinator_crash_mid_batch_exactly_once() {
             ..NetConfig::default()
         };
         let batch = consul_sim::BatchConfig {
-            window: Duration::from_millis(2),
             max_entries: 16,
             ..consul_sim::BatchConfig::default()
         };
@@ -210,14 +209,14 @@ fn coordinator_crash_mid_batch_exactly_once() {
                 s.spawn(move || {
                     for k in 0..per {
                         m.broadcast(Bytes::from(format!("s{seed}-h{i}-{k}")));
-                        // Fast enough that submits land inside the same
-                        // coalescing window.
+                        // Fast enough that submits from the three
+                        // origins queue up behind each other.
                         std::thread::sleep(Duration::from_micros(300));
                     }
                 });
             }
-            // Kill the coordinator mid-stream, while batches are open
-            // and ordered batch records are still in flight.
+            // Kill the coordinator mid-stream, while ordered batch
+            // records are still in flight.
             let g = &g;
             s.spawn(move || {
                 std::thread::sleep(Duration::from_millis(4));
@@ -251,6 +250,8 @@ fn coordinator_crash_mid_batch_exactly_once() {
             })
             .collect();
         assert_eq!(delivered.len(), want, "seed {seed}: every submit delivered");
+        // The run must really exercise batching, not only solo records.
+        assert!(g.stats().batches() >= 1, "seed {seed}: no batch formed");
         let mut uniq = delivered.clone();
         uniq.sort();
         uniq.dedup();

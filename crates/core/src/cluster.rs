@@ -191,36 +191,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Full group-commit configuration for the sequencer coordinator.
-    pub fn batch(mut self, cfg: BatchConfig) -> Self {
-        self.batch = cfg;
-        self
-    }
-
-    /// Coalescing window for concurrent AGS submits at the coordinator
-    /// (`Duration::ZERO` disables batching).
-    pub fn batch_window(mut self, window: Duration) -> Self {
-        self.batch.window = window;
-        self
-    }
-
-    /// Flush an open batch as soon as it reaches `n` entries.
-    pub fn batch_max_entries(mut self, n: usize) -> Self {
-        self.batch.max_entries = n;
-        self
-    }
-
     /// Disable submit batching: every AGS is ordered with its own
     /// multicast, wire-identical to the pre-batching protocol.
     pub fn no_batching(mut self) -> Self {
         self.batch = BatchConfig::disabled();
-        self
-    }
-
-    /// Flush an open batch once its payload bytes reach `n` (0 disables
-    /// the byte trigger; entry-count and window triggers still apply).
-    pub fn batch_max_bytes(mut self, n: usize) -> Self {
-        self.batch.max_bytes = n;
         self
     }
 

@@ -651,6 +651,106 @@ impl TimeSeriesRing {
         out.push_str("]}");
         out
     }
+
+    /// Parse a [`Self::to_json`] dump back into its typed points, oldest
+    /// first. Structured errors, no panics — the input crossed a process
+    /// boundary.
+    pub fn points_from_json(json: &str) -> Result<Vec<TimePoint>, String> {
+        let mut c = JsonCursor(json);
+        let mut points = Vec::new();
+        c.expect("{")?;
+        loop {
+            let key = c.string()?;
+            c.expect(":")?;
+            if key != "points" {
+                c.int()?;
+            } else {
+                c.expect("[")?;
+                while !c.eat("]") {
+                    if !points.is_empty() {
+                        c.expect(",")?;
+                    }
+                    c.expect("{\"at_us\":")?;
+                    let at_micros = u64::try_from(c.int()?).map_err(|e| e.to_string())?;
+                    c.expect(",\"values\":{")?;
+                    let mut values = Vec::new();
+                    while !c.eat("}") {
+                        if !values.is_empty() {
+                            c.expect(",")?;
+                        }
+                        let name = c.string()?;
+                        c.expect(":")?;
+                        values.push((name, c.int()?));
+                    }
+                    c.expect("}")?;
+                    points.push(TimePoint { at_micros, values });
+                }
+            }
+            if c.eat("}") {
+                return Ok(points);
+            }
+            c.expect(",")?;
+        }
+    }
+}
+
+/// The unread rest of a compact JSON text written by
+/// [`TimeSeriesRing::to_json`].
+struct JsonCursor<'a>(&'a str);
+
+impl JsonCursor<'_> {
+    fn eat(&mut self, token: &str) -> bool {
+        let rest = self.0.strip_prefix(token);
+        self.0 = rest.unwrap_or(self.0);
+        rest.is_some()
+    }
+
+    fn expect(&mut self, token: &str) -> Result<(), String> {
+        if self.eat(token) {
+            Ok(())
+        } else {
+            Err(format!("expected {token:?} before {:.24?}", self.0))
+        }
+    }
+
+    fn int(&mut self) -> Result<i64, String> {
+        let len = self
+            .0
+            .find(|c: char| !(c.is_ascii_digit() || c == '-'))
+            .unwrap_or(self.0.len());
+        let (num, rest) = self.0.split_at(len);
+        self.0 = rest;
+        num.parse().map_err(|e| format!("bad number {num:?}: {e}"))
+    }
+
+    /// A string literal, undoing [`json_escape`].
+    fn string(&mut self) -> Result<String, String> {
+        self.expect("\"")?;
+        let mut out = String::new();
+        let mut chars = self.0.char_indices();
+        while let Some((i, c)) = chars.next() {
+            match c {
+                '"' => {
+                    self.0 = &self.0[i + 1..];
+                    return Ok(out);
+                }
+                '\\' => match chars.next().map(|(_, e)| e) {
+                    Some('n') => out.push('\n'),
+                    Some('r') => out.push('\r'),
+                    Some('t') => out.push('\t'),
+                    Some('u') => {
+                        let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
+                        let code = u32::from_str_radix(&hex, 16).map_err(|e| e.to_string())?;
+                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
+                    }
+                    Some(e) => out.push(e),
+                    None => break,
+                },
+                c => out.push(c),
+            }
+        }
+        Err("unterminated string".into())
+    }
 }
 
 #[derive(Debug, Default)]
@@ -1598,6 +1698,30 @@ mod tests {
         assert!(j.contains("{\"at_us\":101,\"values\":{\"ftlinda_stable_tuples\":1}}"));
         assert!(j.contains("{\"at_us\":102,\"values\":{\"ftlinda_stable_tuples\":2}}"));
         assert!(!j.contains("\"at_us\":100"));
+    }
+
+    #[test]
+    fn time_series_json_parses_back_to_points() {
+        let ring = TimeSeriesRing::with_capacity(4);
+        ring.push(TimePoint {
+            at_micros: 7,
+            values: vec![
+                ("ftlinda_shard_tuples{shard=\"0\"}".into(), 3),
+                ("g".into(), -4),
+                ("tab\tand\u{1}".into(), 0),
+            ],
+        });
+        ring.push(TimePoint {
+            at_micros: 8,
+            values: Vec::new(),
+        });
+        let parsed = TimeSeriesRing::points_from_json(&ring.to_json()).unwrap();
+        assert_eq!(parsed, ring.recent());
+        let empty = TimeSeriesRing::with_capacity(4).to_json();
+        assert_eq!(TimeSeriesRing::points_from_json(&empty).unwrap(), vec![]);
+        for bad in ["", "{", "{\"points\":[{\"at_us\":1}]}", "{\"total\":x}"] {
+            assert!(TimeSeriesRing::points_from_json(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@ echo "==> cargo test"
 cargo test -q --workspace
 
 echo "==> bench smoke (assertions only, no measurement)"
-# batch_window sweeps the group-commit window {off, 100us, 1ms} and
-# writes the multicasts-per-AGS / throughput curve as a JSON artifact.
+# batch_window runs 8 submitters with group commit off and on, asserts
+# one multicast per AGS when off and fewer when on, and writes the
+# multicasts-per-AGS / throughput points as a JSON artifact.
 BENCH_MSGS_PER_AGS_JSON="${BENCH_MSGS_PER_AGS_JSON:-$PWD/BENCH_msgs_per_ags.json}" \
     cargo bench -p linda-bench --bench batch_window -- --test
 cargo bench -p linda-bench --bench msgs_per_ags -- --test

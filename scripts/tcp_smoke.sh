@@ -95,7 +95,9 @@ done
 #    report every target as scraped (scrape_up 1, nothing unreachable).
 TARGETS="127.0.0.1:$HTTP_BASE,127.0.0.1:$((HTTP_BASE + 1)),127.0.0.1:$((HTTP_BASE + 2))"
 TOP_PAGE="$LOG_DIR/cluster_top.prom"
-if ! "$TOP" --targets "$TARGETS" --ticks 2 --interval-ms 300 \
+# Four ticks 400 ms apart span more than the members' 1 s time-series
+# sampling interval, so the last tick must count samples on every one.
+if ! "$TOP" --targets "$TARGETS" --ticks 4 --interval-ms 400 \
     --page-out "$TOP_PAGE" --json-out "$TOP_OUT" >"$LOG_DIR/top.log" 2>&1; then
   echo "tcp_smoke.sh: ftlinda-top failed"; cat "$LOG_DIR/top.log"; dump_logs; exit 1
 fi
@@ -121,6 +123,11 @@ grep -q '"unreachable":\[\]' "$TOP_OUT" || {
 }
 grep -q '"bench":"cluster_top"' "$TOP_OUT" || {
   echo "tcp_smoke.sh: malformed aggregator JSON:"; cat "$TOP_OUT"; exit 1
+}
+SAMPLED="$(tail -n 1 "$TOP_OUT" | grep -o '"samples":[0-9]*' | grep -vc '"samples":0$' || true)"
+[ "$SAMPLED" -eq "$HOSTS" ] || {
+  echo "tcp_smoke.sh: aggregator counted no time-series samples on some members:"
+  cat "$TOP_OUT"; exit 1
 }
 echo "cluster_top snapshot: $(tail -n 1 "$TOP_OUT")"
 

@@ -128,8 +128,10 @@ fn scrape(targets: &[SocketAddr]) -> Scrape {
                 // /timeseries is optional (404 when the sampler is off);
                 // count its samples rather than storing the whole ring.
                 if let Ok((200, body)) = http_get(*t, "/timeseries", FEDERATION_TIMEOUT) {
-                    let n = body.matches("\"at_millis\"").count() as u64;
-                    series_counts.push((*t, n));
+                    match obs::TimeSeriesRing::points_from_json(&body) {
+                        Ok(points) => series_counts.push((*t, points.len() as u64)),
+                        Err(e) => eprintln!("ftlinda-top: {t} /timeseries: {e}"),
+                    }
                 }
             }
             None => {

@@ -270,6 +270,9 @@ fn starving_guard_fires_watchdog_and_shows_in_blocked_table() {
     // the wasted wakeups that preceded it.
     rts[2].out(ts, tuple!("job", 1)).unwrap();
     handle.wait().unwrap();
+    // The handle only says host 1 applied the firing; wait until host 0
+    // has too before reading its retry counters.
+    assert!(rts[0].wait_applied(rts[1].applied_seq(), Duration::from_secs(5)));
     let snap = rts[0].obs().snapshot();
     let retries = snap
         .counter_family("ftlinda_blocked_retries_total")
@@ -490,6 +493,9 @@ fn restart_keeps_observatory_configuration() {
     let ts = rts[0].create_stable_ts("main").unwrap();
     rts[0].out(ts, tuple!("keep", 7)).unwrap();
     cluster.crash(HostId(2));
+    // Let the crash's failure tuple land before restarting, so the count
+    // below is not racing it.
+    rts[0].rd(ts, &pat!("failure", 2)).unwrap();
     let rt2 = cluster.restart(HostId(2));
     assert!(rt2.wait_applied(rts[0].applied_seq(), Duration::from_secs(5)));
     // The fresh incarnation carries the same observability config...
@@ -500,8 +506,8 @@ fn restart_keeps_observatory_configuration() {
     // ...and its rebuilt census matches its restored store.
     let report = rt2.introspect().unwrap();
     let main = report.spaces.iter().find(|s| s.name == "main").unwrap();
-    assert_eq!(main.tuples, 1);
-    assert_eq!(main.signatures[0].count, 1);
+    assert_eq!(main.tuples, 2, "(keep, 7) and (failure, 2)");
+    assert_eq!(main.signatures[0].count, 2);
     assert_eq!(main.signatures[0].signature.to_string(), "<str,int>");
     cluster.shutdown();
 }
