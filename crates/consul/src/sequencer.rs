@@ -291,7 +291,10 @@ struct State {
     joined: bool,
 
     net: SeqNet,
-    dtx: crossbeam::channel::Sender<Delivery>,
+    /// The ordered delivery stream's only sender; `None` once the member
+    /// is stopped or its inbox is gone, so the application's receive
+    /// loop sees the stream disconnect.
+    dtx: Option<crossbeam::channel::Sender<Delivery>>,
     stats: Arc<OrderStats>,
     /// Broadcast → total-order self-delivery latency (the "order" stage
     /// of the AGS lifecycle).
@@ -734,7 +737,7 @@ impl State {
         self.coord = from;
         self.next_join_at = std::time::Instant::now();
         self.join_backoff = Self::JOIN_BACKOFF_MIN;
-        let _ = self.dtx.send(Delivery::Evicted {
+        self.deliver(Delivery::Evicted {
             seq: self.last_seq(),
         });
     }
@@ -893,7 +896,14 @@ impl State {
         let delivery = Delivery::from_record(&rec);
         self.log.push(rec);
         self.stats.record_delivery();
-        let _ = self.dtx.send(delivery);
+        self.deliver(delivery);
+    }
+
+    /// Hand one delivery to the application (dropped once stopped).
+    fn deliver(&self, d: Delivery) {
+        if let Some(tx) = &self.dtx {
+            let _ = tx.send(d);
+        }
     }
 
     /// Heartbeat mode: send periodic pings and declare silent peers
@@ -1459,7 +1469,7 @@ impl State {
         self.buffer = self.buffer.split_off(&(cp.seq + 1));
         self.log.clear();
         self.log_base = cp.seq;
-        let _ = self.dtx.send(Delivery::Restore { image: cp.clone() });
+        self.deliver(Delivery::Restore { image: cp.clone() });
         self.checkpoint = Some(cp);
     }
 
@@ -1682,7 +1692,7 @@ impl SeqGroup {
             coord: universe[0],
             joined: initially_joined,
             net: net.clone(),
-            dtx,
+            dtx: Some(dtx),
             stats: stats.clone(),
             order_hist,
             broadcast_at: HashMap::new(),
@@ -1763,7 +1773,11 @@ impl SeqGroup {
                 let first = match rx.recv_timeout(tick) {
                     Ok(ev) => Some(ev),
                     Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                        // A restart replaced our inbox: close the stream.
+                        state.lock().dtx = None;
+                        break;
+                    }
                 };
                 let mut st = state.lock();
                 if let Some(ev) = first {
@@ -1956,9 +1970,12 @@ impl SeqMember {
         &self.deliveries
     }
 
-    /// Stop this member's protocol thread (teardown).
+    /// Stop this member's protocol thread (teardown) and close the
+    /// delivery stream: once the queued deliveries are drained,
+    /// [`SeqMember::deliveries`] reports the channel disconnected.
     pub fn stop(&self) {
         self.stop.store(true, AtomicOrdering::Relaxed);
+        self.state.lock().dtx = None;
     }
 
     /// Number of records this member has delivered (or skipped past via a

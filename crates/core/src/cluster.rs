@@ -23,7 +23,7 @@
 
 use crate::federation::{federate_metrics, federate_trace, MemberSource};
 use crate::flight::{FlightRecorder, FlightSection};
-use crate::runtime::{Runtime, RuntimeConfig};
+use crate::runtime::{Runtime, RuntimeConfig, Workers};
 use crate::server::{events_json_lines, http_post_metrics, ExporterSources, HttpExporter};
 use consul_sim::{
     BatchConfig, CheckpointConfig, HostId, NetConfig, SeqGroup, SeqMember, TcpConfig, TcpMesh,
@@ -34,9 +34,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Which wire the cluster's ordering traffic rides on.
@@ -356,45 +354,8 @@ impl ClusterBuilder {
                 members_per_host[h].push(m);
             }
         }
-        let run_cfg = RuntimeConfig {
-            // no_introspection() also silences the watchdog: starvation
-            // ages come from the same deep-accounting layer.
-            starvation_after: (self.introspection && !self.starvation_after.is_zero())
-                .then_some(self.starvation_after),
-            introspection: self.introspection,
-            store: self.store,
-            store_overrides: self.store_overrides.clone(),
-        };
-        let runtimes: Vec<Runtime> = members_per_host
-            .into_iter()
-            .map(|ms| Runtime::with_members(ms, run_cfg.clone()))
-            .collect();
-        let by_host: HashMap<HostId, Runtime> =
-            runtimes.iter().map(|rt| (rt.host(), rt.clone())).collect();
-        let flight = self.flight_dir.clone().map(|dir| {
-            Arc::new(FlightRecorder::new(dir).expect("create flight recorder directory"))
-        });
-        let timeseries = self
-            .timeseries
-            .map(|(_, cap)| Arc::new(linda_obs::TimeSeriesRing::with_capacity(cap)));
-        let cluster = Cluster {
-            groups,
-            mesh: None,
-            peer_http: Vec::new(),
-            runtimes: Arc::new(Mutex::new(by_host)),
-            obs: Arc::new(linda_obs::Registry::new()),
-            stop: Arc::new(AtomicBool::new(false)),
-            detector: Mutex::new(None),
-            exporters: Mutex::new(HashMap::new()),
-            flight,
-            monitor: Mutex::new(None),
-            pusher: Mutex::new(None),
-            sampler: Mutex::new(None),
-            timeseries,
-            run_cfg,
-        };
-        self.start_services(&cluster);
-        (cluster, runtimes)
+        let obs = Arc::new(linda_obs::Registry::new());
+        self.assemble(groups, None, Vec::new(), obs, members_per_host)
     }
 
     /// One member of a multi-process TCP cluster: bind our listener,
@@ -426,21 +387,6 @@ impl ClusterBuilder {
             groups.push(group);
             members.push(member);
         }
-        let run_cfg = RuntimeConfig {
-            starvation_after: (self.introspection && !self.starvation_after.is_zero())
-                .then_some(self.starvation_after),
-            introspection: self.introspection,
-            store: self.store,
-            store_overrides: self.store_overrides.clone(),
-        };
-        let rt = Runtime::with_members(members, run_cfg.clone());
-        let by_host: HashMap<HostId, Runtime> = [(me, rt.clone())].into_iter().collect();
-        let flight = self.flight_dir.clone().map(|dir| {
-            Arc::new(FlightRecorder::new(dir).expect("create flight recorder directory"))
-        });
-        let timeseries = self
-            .timeseries
-            .map(|(_, cap)| Arc::new(linda_obs::TimeSeriesRing::with_capacity(cap)));
         // Peer exporter addresses, derivable only under a fixed HTTP base
         // port: peer i's sequencer binds addrs[i], its exporter serves
         // the same interface at base + i. With an ephemeral base (tests)
@@ -460,24 +406,53 @@ impl ClusterBuilder {
         } else {
             Vec::new()
         };
+        Ok(self.assemble(groups, Some(mesh), peer_http, obs, vec![members]))
+    }
+
+    /// The one place a [`Cluster`] is put together, for both transports:
+    /// wrap each host's shard members in a [`Runtime`], then start the
+    /// background services.
+    fn assemble(
+        self,
+        groups: Vec<SeqGroup>,
+        mesh: Option<TcpMesh>,
+        peer_http: Vec<(HostId, SocketAddr)>,
+        obs: Arc<linda_obs::Registry>,
+        members_per_host: Vec<Vec<SeqMember>>,
+    ) -> (Cluster, Vec<Runtime>) {
+        let run_cfg = RuntimeConfig {
+            // no_introspection() also silences the watchdog: starvation
+            // ages come from the same deep-accounting layer.
+            starvation_after: (self.introspection && !self.starvation_after.is_zero())
+                .then_some(self.starvation_after),
+            introspection: self.introspection,
+            store: self.store,
+            store_overrides: self.store_overrides.clone(),
+        };
+        let runtimes: Vec<Runtime> = members_per_host
+            .into_iter()
+            .map(|ms| Runtime::with_members(ms, run_cfg.clone()))
+            .collect();
+        let by_host: HashMap<HostId, Runtime> =
+            runtimes.iter().map(|rt| (rt.host(), rt.clone())).collect();
         let cluster = Cluster {
             groups,
-            mesh: Some(mesh),
+            mesh,
             peer_http,
             runtimes: Arc::new(Mutex::new(by_host)),
             obs,
-            stop: Arc::new(AtomicBool::new(false)),
-            detector: Mutex::new(None),
+            services: Workers::new(),
             exporters: Mutex::new(HashMap::new()),
-            flight,
-            monitor: Mutex::new(None),
-            pusher: Mutex::new(None),
-            sampler: Mutex::new(None),
-            timeseries,
+            flight: self.flight_dir.clone().map(|dir| {
+                Arc::new(FlightRecorder::new(dir).expect("create flight recorder directory"))
+            }),
+            timeseries: self
+                .timeseries
+                .map(|(_, cap)| Arc::new(linda_obs::TimeSeriesRing::with_capacity(cap))),
             run_cfg,
         };
         self.start_services(&cluster);
-        Ok((cluster, vec![rt]))
+        (cluster, runtimes)
     }
 
     /// Background services common to both transports. The divergence
@@ -523,17 +498,13 @@ pub struct Cluster {
     runtimes: Arc<Mutex<HashMap<HostId, Runtime>>>,
     /// Cluster-level registry: divergence counter + events.
     obs: Arc<linda_obs::Registry>,
-    stop: Arc<AtomicBool>,
-    detector: Mutex<Option<JoinHandle<()>>>,
+    /// The periodic service threads: divergence detector, time-series
+    /// sampler, flight monitor and push gateway, as configured.
+    services: Workers,
     /// One HTTP exporter per member (empty when built with `no_http`).
     exporters: Mutex<HashMap<HostId, HttpExporter>>,
     /// Flight recorder, when a dump directory was configured.
     flight: Option<Arc<FlightRecorder>>,
-    monitor: Mutex<Option<JoinHandle<()>>>,
-    /// Push-gateway thread, when push mode was configured.
-    pusher: Mutex<Option<JoinHandle<()>>>,
-    /// Time-series sampler thread, unless `no_timeseries`.
-    sampler: Mutex<Option<JoinHandle<()>>>,
     /// Bounded ring of periodic metric snapshots (`/timeseries`).
     timeseries: Option<Arc<linda_obs::TimeSeriesRing>>,
     /// Observability configuration every runtime (including restarted
@@ -555,65 +526,58 @@ impl Cluster {
     fn spawn_detector(&self, period: Duration) {
         let runtimes = self.runtimes.clone();
         let obs = self.obs.clone();
-        let stop = self.stop.clone();
         let net = self.groups[0].transport().clone();
         let shards = self.groups.len();
         let divergences = obs.counter(
             "ftlinda_digest_divergence_total",
             "Replica digest mismatches observed at equal applied sequence",
         );
-        let handle = std::thread::Builder::new()
-            .name("ftlinda-divergence".into())
-            .spawn(move || {
-                // (shard, seq) pairs already reported, so a persistent
-                // divergence is surfaced once, not every tick.
-                let mut reported: HashSet<(usize, u64)> = HashSet::new();
-                while !stop.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(period);
-                    let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
-                    // Divergence is a per-shard property: each shard's
-                    // replicas apply that shard's ordered prefix, so
-                    // equal (shard, seq) must imply equal digest. This
-                    // never false-positives on replicas that merely lag.
-                    for shard in 0..shards {
-                        let samples: Vec<(HostId, u64, u64)> = {
-                            let map = runtimes.lock();
-                            map.iter()
-                                .filter(|(h, _)| live.contains(h))
-                                .map(|(h, rt)| {
-                                    let (seq, dig) = rt.applied_digest_shard(shard);
-                                    (*h, seq, dig)
-                                })
-                                .collect()
-                        };
-                        let mut by_seq: HashMap<u64, Vec<(HostId, u64)>> = HashMap::new();
-                        for (h, seq, dig) in samples {
-                            by_seq.entry(seq).or_default().push((h, dig));
+        // (shard, seq) pairs already reported, so a persistent
+        // divergence is surfaced once, not every tick.
+        let mut reported: HashSet<(usize, u64)> = HashSet::new();
+        self.services
+            .spawn_periodic("ftlinda-divergence".into(), period, move || {
+                let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
+                // Divergence is a per-shard property: each shard's
+                // replicas apply that shard's ordered prefix, so
+                // equal (shard, seq) must imply equal digest. This
+                // never false-positives on replicas that merely lag.
+                for shard in 0..shards {
+                    let samples: Vec<(HostId, u64, u64)> = {
+                        let map = runtimes.lock();
+                        map.iter()
+                            .filter(|(h, _)| live.contains(h))
+                            .map(|(h, rt)| {
+                                let (seq, dig) = rt.applied_digest_shard(shard);
+                                (*h, seq, dig)
+                            })
+                            .collect()
+                    };
+                    let mut by_seq: HashMap<u64, Vec<(HostId, u64)>> = HashMap::new();
+                    for (h, seq, dig) in samples {
+                        by_seq.entry(seq).or_default().push((h, dig));
+                    }
+                    for (seq, group) in by_seq {
+                        if group.len() < 2 || reported.contains(&(shard, seq)) {
+                            continue;
                         }
-                        for (seq, group) in by_seq {
-                            if group.len() < 2 || reported.contains(&(shard, seq)) {
-                                continue;
+                        let first = group[0].1;
+                        if group.iter().any(|(_, d)| *d != first) {
+                            reported.insert((shard, seq));
+                            divergences.inc();
+                            let mut fields = vec![
+                                ("shard".to_string(), shard.to_string()),
+                                ("seq".to_string(), seq.to_string()),
+                            ];
+                            for (h, d) in &group {
+                                fields.push((format!("digest_h{}", h.0), format!("{d:#x}")));
                             }
-                            let first = group[0].1;
-                            if group.iter().any(|(_, d)| *d != first) {
-                                reported.insert((shard, seq));
-                                divergences.inc();
-                                let mut fields = vec![
-                                    ("shard".to_string(), shard.to_string()),
-                                    ("seq".to_string(), seq.to_string()),
-                                ];
-                                for (h, d) in &group {
-                                    fields.push((format!("digest_h{}", h.0), format!("{d:#x}")));
-                                }
-                                obs.events()
-                                    .emit(linda_obs::Event::new("digest_divergence", fields));
-                            }
+                            obs.events()
+                                .emit(linda_obs::Event::new("digest_divergence", fields));
                         }
                     }
                 }
-            })
-            .expect("spawn divergence detector");
-        *self.detector.lock() = Some(handle);
+            });
     }
 
     /// Cluster-level observability registry: the divergence counter and
@@ -843,7 +807,6 @@ impl Cluster {
         let runtimes = self.runtimes.clone();
         let obs = self.obs.clone();
         let net = self.groups[0].transport().clone();
-        let stop = self.stop.clone();
         let pushes = obs.counter(
             "ftlinda_pushes_total",
             "Successful metric pushes to the configured push gateway",
@@ -852,68 +815,60 @@ impl Cluster {
             "ftlinda_push_failures_total",
             "Metric pushes the push gateway refused or never received",
         );
-        let handle = std::thread::Builder::new()
-            .name("ftlinda-push".into())
-            .spawn(move || {
-                while !stop.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(interval);
-                    // Snapshot the texts first so no lock is held during
-                    // network I/O.
-                    let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
-                    let pages: Vec<(String, String)> = {
-                        let map = runtimes.lock();
-                        let mut hosts: Vec<&HostId> = map.keys().collect();
-                        hosts.sort_by_key(|h| h.0);
-                        let mut pages: Vec<(String, String)> = hosts
-                            .into_iter()
-                            .filter(|h| live.contains(h))
-                            .map(|h| {
-                                (
-                                    format!("{}/instance/{}", url.trim_end_matches('/'), h.0),
-                                    map[h].metrics_text(),
-                                )
-                            })
-                            .collect();
-                        // The base-URL page is the merged cluster view,
-                        // not the bare cluster registry: merging keeps
-                        // the members' shard-labeled family children, so
-                        // the gateway sees the same per-shard series as
-                        // /metrics/cluster.
-                        pages.push((
-                            url.trim_end_matches('/').to_string(),
-                            aggregate_metrics(&map, &obs, &live),
-                        ));
-                        pages
-                    };
-                    for (target, body) in pages {
-                        match http_post_metrics(&target, &body) {
-                            Ok(status) if (200..300).contains(&status) => pushes.inc(),
-                            Ok(status) => {
-                                failures.inc();
-                                obs.events().emit(linda_obs::Event::new(
-                                    "push_failed",
-                                    vec![
-                                        ("target".into(), target),
-                                        ("status".into(), status.to_string()),
-                                    ],
-                                ));
-                            }
-                            Err(e) => {
-                                failures.inc();
-                                obs.events().emit(linda_obs::Event::new(
-                                    "push_failed",
-                                    vec![
-                                        ("target".into(), target),
-                                        ("error".into(), e.to_string()),
-                                    ],
-                                ));
-                            }
+        self.services
+            .spawn_periodic("ftlinda-push".into(), interval, move || {
+                // Snapshot the texts first so no lock is held during
+                // network I/O.
+                let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
+                let pages: Vec<(String, String)> = {
+                    let map = runtimes.lock();
+                    let mut hosts: Vec<&HostId> = map.keys().collect();
+                    hosts.sort_by_key(|h| h.0);
+                    let mut pages: Vec<(String, String)> = hosts
+                        .into_iter()
+                        .filter(|h| live.contains(h))
+                        .map(|h| {
+                            (
+                                format!("{}/instance/{}", url.trim_end_matches('/'), h.0),
+                                map[h].metrics_text(),
+                            )
+                        })
+                        .collect();
+                    // The base-URL page is the merged cluster view,
+                    // not the bare cluster registry: merging keeps
+                    // the members' shard-labeled family children, so
+                    // the gateway sees the same per-shard series as
+                    // /metrics/cluster. Local-only: a dead peer's connect
+                    // timeout would stall the tick.
+                    pages.push((
+                        url.trim_end_matches('/').to_string(),
+                        federate_metrics(&member_sources(&map, &[]), &live, &obs).render(),
+                    ));
+                    pages
+                };
+                for (target, body) in pages {
+                    match http_post_metrics(&target, &body) {
+                        Ok(status) if (200..300).contains(&status) => pushes.inc(),
+                        Ok(status) => {
+                            failures.inc();
+                            obs.events().emit(linda_obs::Event::new(
+                                "push_failed",
+                                vec![
+                                    ("target".into(), target),
+                                    ("status".into(), status.to_string()),
+                                ],
+                            ));
+                        }
+                        Err(e) => {
+                            failures.inc();
+                            obs.events().emit(linda_obs::Event::new(
+                                "push_failed",
+                                vec![("target".into(), target), ("error".into(), e.to_string())],
+                            ));
                         }
                     }
                 }
-            })
-            .expect("spawn push gateway thread");
-        *self.pusher.lock() = Some(handle);
+            });
     }
 
     /// Time-series sampler: every `interval`, refresh the cluster-level
@@ -933,7 +888,6 @@ impl Cluster {
         // way a per-member mirror would under snapshot merging.
         let stats: Vec<Arc<consul_sim::OrderStats>> =
             self.groups.iter().map(|g| g.stats_handle()).collect();
-        let stop = self.stop.clone();
         let shard_multicasts = obs.gauge_family(
             "ftlinda_shard_multicasts_total",
             "Ordered multicasts issued on each shard's sequencer lane (sampled)",
@@ -943,56 +897,50 @@ impl Cluster {
             "Heaviest shard's excess tuple share in basis points (0 even, 10000 one shard)",
             linda_obs::GaugeMerge::Max,
         );
-        let handle = std::thread::Builder::new()
-            .name("ftlinda-timeseries".into())
-            .spawn(move || {
-                while !stop.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(interval);
-                    for (i, s) in stats.iter().enumerate() {
-                        shard_multicasts
-                            .with(&[("shard", &i.to_string())])
-                            .set(i64::try_from(s.ordered_multicasts()).unwrap_or(i64::MAX));
-                    }
-                    let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
-                    // Local-only federation: the sampler must never pay
-                    // a peer connect timeout on its 1 s tick.
-                    let snap = {
-                        let map = runtimes.lock();
-                        federate_metrics(&member_sources(&map, &[]), &live, &obs)
-                    };
-                    // Tuple loads per shard, summed over replicas — the
-                    // replication factor is uniform, so the imbalance
-                    // ratio is unchanged by the sum.
-                    let loads: Vec<u64> = snap
-                        .gauge_family("ftlinda_shard_tuples")
-                        .map(|children| children.values().map(|v| (*v).max(0) as u64).collect())
-                        .unwrap_or_default();
-                    imbalance.set(ftlinda_ags::imbalance_bp(&loads));
-                    let mut values = snap.series(
-                        &[
-                            "ftlinda_ags_completions_total",
-                            "ftlinda_stable_tuples",
-                            "ftlinda_blocked_ags",
-                            "ftlinda_ags_starving_total",
-                        ],
-                        &[
-                            "ftlinda_shard_tuples",
-                            "ftlinda_shard_ags_total",
-                            "ftlinda_shard_multicasts_total",
-                            "ftlinda_xcommit_aborts_total",
-                            "ftlinda_xcommit_retries_total",
-                            "ftlinda_xlock_buffered_total",
-                        ],
-                    );
-                    values.push((
-                        "ftlinda_shard_imbalance_bp".to_string(),
-                        ftlinda_ags::imbalance_bp(&loads),
-                    ));
-                    ring.sample(values);
+        self.services
+            .spawn_periodic("ftlinda-timeseries".into(), interval, move || {
+                for (i, s) in stats.iter().enumerate() {
+                    shard_multicasts
+                        .with(&[("shard", &i.to_string())])
+                        .set(i64::try_from(s.ordered_multicasts()).unwrap_or(i64::MAX));
                 }
-            })
-            .expect("spawn time-series sampler");
-        *self.sampler.lock() = Some(handle);
+                let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
+                // Local-only federation: the sampler must never pay
+                // a peer connect timeout on its 1 s tick.
+                let snap = {
+                    let map = runtimes.lock();
+                    federate_metrics(&member_sources(&map, &[]), &live, &obs)
+                };
+                // Tuple loads per shard, summed over replicas — the
+                // replication factor is uniform, so the imbalance
+                // ratio is unchanged by the sum.
+                let loads: Vec<u64> = snap
+                    .gauge_family("ftlinda_shard_tuples")
+                    .map(|children| children.values().map(|v| (*v).max(0) as u64).collect())
+                    .unwrap_or_default();
+                imbalance.set(ftlinda_ags::imbalance_bp(&loads));
+                let mut values = snap.series(
+                    &[
+                        "ftlinda_ags_completions_total",
+                        "ftlinda_stable_tuples",
+                        "ftlinda_blocked_ags",
+                        "ftlinda_ags_starving_total",
+                    ],
+                    &[
+                        "ftlinda_shard_tuples",
+                        "ftlinda_shard_ags_total",
+                        "ftlinda_shard_multicasts_total",
+                        "ftlinda_xcommit_aborts_total",
+                        "ftlinda_xcommit_retries_total",
+                        "ftlinda_xlock_buffered_total",
+                    ],
+                );
+                values.push((
+                    "ftlinda_shard_imbalance_bp".to_string(),
+                    ftlinda_ags::imbalance_bp(&loads),
+                ));
+                ring.sample(values);
+            });
     }
 
     /// The in-memory metrics time-series ring, unless disabled with
@@ -1032,49 +980,41 @@ impl Cluster {
         let obs = self.obs.clone();
         let stats = self.groups[0].stats_handle();
         let net = self.groups[0].transport().clone();
-        let stop = self.stop.clone();
         let ring = self.timeseries.clone();
-        let handle = std::thread::Builder::new()
-            .name("ftlinda-flight".into())
-            .spawn(move || {
-                // Last-seen event counts per (scope, kind); a count that
-                // grows triggers a dump, a count that shrinks means the
-                // source registry was replaced (host restart) and resets
-                // the baseline.
-                let mut seen: HashMap<(u32, &'static str), usize> = HashMap::new();
-                const CLUSTER: u32 = u32::MAX;
-                while !stop.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(period);
-                    let mut fire: Option<&'static str> = None;
-                    let mut check = |key: (u32, &'static str), count: usize| {
-                        let last = seen.entry(key).or_insert(0);
-                        if count > *last {
-                            fire = Some(key.1);
-                        }
-                        *last = count;
-                    };
-                    check(
-                        (CLUSTER, "digest_divergence"),
-                        obs.events().recent_of("digest_divergence").len(),
-                    );
-                    {
-                        let map = runtimes.lock();
-                        for (h, rt) in map.iter() {
-                            for kind in ["coordinator_failover", "rejoin_failed"] {
-                                check((h.0, kind), rt.obs().events().recent_of(kind).len());
-                            }
-                        }
+        // Last-seen event counts per (scope, kind); a count that grows
+        // triggers a dump, a count that shrinks means the source registry
+        // was replaced (host restart) and resets the baseline.
+        let mut seen: HashMap<(u32, &'static str), usize> = HashMap::new();
+        const CLUSTER: u32 = u32::MAX;
+        self.services
+            .spawn_periodic("ftlinda-flight".into(), period, move || {
+                let mut fire: Option<&'static str> = None;
+                let mut check = |key: (u32, &'static str), count: usize| {
+                    let last = seen.entry(key).or_insert(0);
+                    if count > *last {
+                        fire = Some(key.1);
                     }
-                    if let Some(reason) = fire {
-                        let live: Vec<HostId> = net.live_hosts();
-                        let sections =
-                            flight_sections(&runtimes.lock(), &obs, &stats, &live, ring.as_deref());
-                        let _ = flight.dump(reason, &sections);
+                    *last = count;
+                };
+                check(
+                    (CLUSTER, "digest_divergence"),
+                    obs.events().recent_of("digest_divergence").len(),
+                );
+                {
+                    let map = runtimes.lock();
+                    for (h, rt) in map.iter() {
+                        for kind in ["coordinator_failover", "rejoin_failed"] {
+                            check((h.0, kind), rt.obs().events().recent_of(kind).len());
+                        }
                     }
                 }
-            })
-            .expect("spawn flight monitor");
-        *self.monitor.lock() = Some(handle);
+                if let Some(reason) = fire {
+                    let live: Vec<HostId> = net.live_hosts();
+                    let sections =
+                        flight_sections(&runtimes.lock(), &obs, &stats, &live, ring.as_deref());
+                    let _ = flight.dump(reason, &sections);
+                }
+            });
     }
 
     /// Crash a host (fail-silent). Every surviving replica will deposit a
@@ -1094,7 +1034,12 @@ impl Cluster {
         // configuration (watchdog threshold, introspection switch).
         let members: Vec<SeqMember> = self.groups.iter().map(|g| g.restart(host)).collect();
         let rt = Runtime::with_members(members, self.run_cfg.clone());
-        self.runtimes.lock().insert(host, rt.clone());
+        let old = self.runtimes.lock().insert(host, rt.clone());
+        // Retire the incarnation this one replaces: its calls fail with
+        // `FtError::Shutdown` and its threads exit.
+        if let Some(old) = old {
+            old.shutdown();
+        }
         rt
     }
 
@@ -1157,19 +1102,7 @@ impl Cluster {
 
     /// Tear everything down (idempotent).
     pub fn shutdown(&self) {
-        self.stop.store(true, AtomicOrdering::Relaxed);
-        if let Some(h) = self.detector.lock().take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.monitor.lock().take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.pusher.lock().take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sampler.lock().take() {
-            let _ = h.join();
-        }
+        self.services.stop();
         for (_, mut exp) in self.exporters.lock().drain() {
             exp.stop();
         }
@@ -1210,20 +1143,6 @@ fn member_sources(
     }
     out.sort_by_key(|s| s.host().0);
     out
-}
-
-/// Merge the cluster registry with every live member's registry into one
-/// Prometheus text page. Local-only (no peer scraping): the sampler and
-/// pusher run on tight periodic loops where a dead peer's connect
-/// timeout would stall the tick, so they federate over in-process
-/// sources; the scrape-time pages ([`Cluster::cluster_metrics_text`])
-/// fan out to peers.
-fn aggregate_metrics(
-    runtimes: &HashMap<HostId, Runtime>,
-    obs: &linda_obs::Registry,
-    live: &HashSet<HostId>,
-) -> String {
-    federate_metrics(&member_sources(runtimes, &[]), live, obs).render()
 }
 
 /// The `/healthz` JSON for one member: liveness, applied position,

@@ -27,8 +27,8 @@
 //! buckets, and releases each shard with its rewritten buckets.
 
 use crate::error::FtError;
-use consul_sim::{HostId, LocalId, SeqMember};
-use crossbeam::channel::{Receiver, Sender};
+use consul_sim::{Delivery, HostId, LocalId, SeqMember};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use ftlinda_ags::{
     imbalance_bp, shard_of, static_keys, Ags, AgsOutcome, MatchField, Operand, ScratchId, TsId,
 };
@@ -40,8 +40,9 @@ use linda_space::LocalSpace;
 use linda_tuple::{PatField, Pattern, Tuple, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Failure/recovery events observable by application code (in addition to
@@ -125,7 +126,8 @@ struct Shared {
     waiting: Mutex<HashMap<LocalId, (CompletionTx, Instant)>>,
     events: Mutex<Vec<Sender<FtEvent>>>,
     lanes: Vec<Lane>,
-    alive: AtomicBool,
+    /// The apply threads and the watchdog.
+    workers: Workers,
     config: RuntimeConfig,
     next_scratch: AtomicU32,
     /// Cross-shard transaction ids handed out by this origin.
@@ -142,6 +144,61 @@ struct Shared {
     /// Cross-shard commit attempts this origin re-drove after a
     /// `Blocked` stage, labeled by the home shard that refused.
     xcommit_retries: Arc<linda_obs::CounterFamily>,
+}
+
+/// Threads that run until their owner stops them, and the channel that
+/// stops the periodic ones. Nothing is ever sent on it: dropping the
+/// sender is the stop signal, so a periodic thread wakes for its next
+/// tick or for shutdown, and never sleeps past either.
+pub(crate) struct Workers {
+    stop: Mutex<Option<Sender<()>>>,
+    stopped: Receiver<()>,
+    handles: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Workers {
+    pub(crate) fn new() -> Workers {
+        let (stop, stopped) = crossbeam::channel::bounded(0);
+        Workers {
+            stop: Mutex::new(Some(stop)),
+            stopped,
+            handles: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Join `handle` in [`Workers::stop`].
+    pub(crate) fn adopt(&self, handle: JoinHandle<()>) {
+        self.handles.lock().push(handle);
+    }
+
+    /// Spawn a thread named `name` that runs `tick` every `period` until
+    /// [`Workers::stop`].
+    pub(crate) fn spawn_periodic(
+        &self,
+        name: String,
+        period: Duration,
+        mut tick: impl FnMut() + Send + 'static,
+    ) {
+        let stopped = self.stopped.clone();
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
+                    tick();
+                }
+            })
+            .expect("spawn periodic thread");
+        self.adopt(handle);
+    }
+
+    /// End the periodic threads and join every thread; a no-op after the
+    /// first call.
+    pub(crate) fn stop(&self) {
+        self.stop.lock().take();
+        for h in std::mem::take(&mut *self.handles.lock()) {
+            let _ = h.join();
+        }
+    }
 }
 
 /// Handle to the FT-Linda runtime on one host. Cloneable; clones share
@@ -229,7 +286,7 @@ impl Runtime {
             waiting: Mutex::new(HashMap::new()),
             events: Mutex::new(Vec::new()),
             lanes,
-            alive: AtomicBool::new(true),
+            workers: Workers::new(),
             config,
             next_scratch: AtomicU32::new(0),
             next_xid: AtomicU64::new(1),
@@ -241,181 +298,181 @@ impl Runtime {
             completions,
             xcommit_retries,
         });
-        let rt = Runtime {
-            host,
-            shared: shared.clone(),
-        };
         for (i, note_rx) in note_rxs.into_iter().enumerate() {
-            Self::spawn_apply(shared.clone(), i, note_rx);
+            let apply = Self::spawn_apply(shared.clone(), i, note_rx);
+            shared.workers.adopt(apply);
         }
-        if let Some(threshold) = rt.shared.config.starvation_after.filter(|t| !t.is_zero()) {
-            rt.spawn_watchdog(threshold);
+        if let Some(threshold) = shared.config.starvation_after.filter(|t| !t.is_zero()) {
+            Self::spawn_watchdog(&shared, threshold);
         }
-        rt
+        Runtime { host, shared }
     }
 
     /// One apply thread per shard: feed the lane's kernel its delivery
-    /// stream and route the resulting kernel notes to local waiters.
-    fn spawn_apply(shared: Arc<Shared>, lane_idx: usize, note_rx: Receiver<KernelNote>) {
+    /// stream and route the resulting kernel notes to local waiters. The
+    /// thread exits when the stream disconnects (the member was stopped,
+    /// or a restart replaced it) and fails every outstanding call with
+    /// [`FtError::Shutdown`] on its way out.
+    fn spawn_apply(
+        shared: Arc<Shared>,
+        lane_idx: usize,
+        note_rx: Receiver<KernelNote>,
+    ) -> JoinHandle<()> {
         let member = shared.lanes[lane_idx].member.clone();
         let host = member.host();
         std::thread::Builder::new()
             .name(format!("ftlinda-apply-{host}-s{lane_idx}"))
-            .spawn(move || loop {
-                let d = match member.deliveries().recv_timeout(Duration::from_millis(100)) {
-                    Ok(d) => d,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                        if !shared.alive.load(AtomicOrdering::Relaxed) {
-                            return;
-                        }
-                        continue;
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                        shared.alive.store(false, AtomicOrdering::Relaxed);
-                        // Wake all waiters with Shutdown.
-                        let mut w = shared.waiting.lock();
-                        for (_, (tx, _)) in w.drain() {
-                            let _ = tx.send(Err(FtError::Shutdown));
-                        }
-                        return;
+            .spawn(move || {
+                while let Ok(d) = member.deliveries().recv() {
+                    Self::apply_run(&shared, lane_idx, &note_rx, d);
+                }
+                let mut w = shared.waiting.lock();
+                for (_, (tx, _)) in w.drain() {
+                    let _ = tx.send(Err(FtError::Shutdown));
+                }
+            })
+            .expect("spawn apply thread")
+    }
+
+    /// Apply `d` and whatever else is already queued behind it on one
+    /// lane, then route the kernel notes the run produced.
+    fn apply_run(shared: &Shared, lane_idx: usize, note_rx: &Receiver<KernelNote>, d: Delivery) {
+        let member = &shared.lanes[lane_idx].member;
+        let host = member.host();
+        // Pipelining: a batched multicast (or a replayed
+        // snapshot) lands many deliveries at once; drain them
+        // and apply the whole run under one kernel lock instead
+        // of re-acquiring per record.
+        let mut run = vec![d];
+        run.extend(member.deliveries().try_iter().take(255));
+        let pending = {
+            let mut k = shared.lanes[lane_idx].kernel.lock();
+            k.apply_all(&run);
+            k.take_pending_checkpoint()
+        };
+        // An ordered checkpoint boundary was in the run: the
+        // kernel snapshotted itself there; hand the image back to
+        // the ordering layer so it can truncate its log and serve
+        // joiners in O(state).
+        if let Some(image) = pending {
+            shared.obs.events_handle().emit(linda_obs::Event::new(
+                "checkpoint_taken",
+                vec![
+                    ("host".into(), host.to_string()),
+                    ("shard".into(), lane_idx.to_string()),
+                    ("seq".into(), image.seq.to_string()),
+                    ("bytes".into(), image.bytes.len().to_string()),
+                ],
+            ));
+            member.install_checkpoint(image);
+        }
+        // Route kernel notes produced by this apply.
+        for note in note_rx.try_iter() {
+            let routed_at = Instant::now();
+            let route_ok =
+                |local: LocalId, outcome: &str, payload: Result<CompletionOk, FtError>| {
+                    if let Some((tx, t0)) = shared.waiting.lock().remove(&local) {
+                        shared.hist_total.observe(t0.elapsed());
+                        shared.completions.inc();
+                        shared.spans.record(
+                            linda_obs::TraceId::new(host.0, local),
+                            "complete",
+                            host.0,
+                            vec![("outcome".into(), outcome.into())],
+                        );
+                        let _ = tx.send(payload);
+                        shared.hist_notify.observe(routed_at.elapsed());
                     }
                 };
-                // Pipelining: a batched multicast (or a replayed
-                // snapshot) lands many deliveries at once; drain them
-                // and apply the whole run under one kernel lock instead
-                // of re-acquiring per record.
-                let mut run = vec![d];
-                run.extend(member.deliveries().try_iter().take(255));
-                let pending = {
-                    let mut k = shared.lanes[lane_idx].kernel.lock();
-                    k.apply_all(&run);
-                    k.take_pending_checkpoint()
-                };
-                // An ordered checkpoint boundary was in the run: the
-                // kernel snapshotted itself there; hand the image back to
-                // the ordering layer so it can truncate its log and serve
-                // joiners in O(state).
-                if let Some(image) = pending {
+            match note {
+                KernelNote::Completed { local, result, .. } => {
+                    let outcome = if result.is_ok() { "ok" } else { "err" };
+                    route_ok(
+                        local,
+                        outcome,
+                        result.map(CompletionOk::Ags).map_err(FtError::Exec),
+                    );
+                }
+                KernelNote::TsCreated { local, id, .. } => {
+                    route_ok(local, "ts_created", Ok(CompletionOk::Ts(id)));
+                }
+                KernelNote::XCheckedOut { local, buckets, .. } => {
+                    route_ok(local, "xlock", Ok(CompletionOk::Buckets(buckets)));
+                }
+                KernelNote::XStaged {
+                    local,
+                    result,
+                    writebacks,
+                    ..
+                } => {
+                    route_ok(
+                        local,
+                        "xexec",
+                        Ok(CompletionOk::Staged { result, writebacks }),
+                    );
+                }
+                KernelNote::XReleased { local, .. } => {
+                    route_ok(local, "xrelease", Ok(CompletionOk::Released));
+                }
+                KernelNote::HostFailed { host, .. } => {
+                    Self::publish(shared, FtEvent::HostFailed(host));
+                }
+                KernelNote::HostJoined { host, .. } => {
+                    Self::publish(shared, FtEvent::HostJoined(host));
+                }
+                KernelNote::Restored { seq } => {
                     shared.obs.events_handle().emit(linda_obs::Event::new(
-                        "checkpoint_taken",
+                        "state_restored",
                         vec![
                             ("host".into(), host.to_string()),
                             ("shard".into(), lane_idx.to_string()),
-                            ("seq".into(), image.seq.to_string()),
-                            ("bytes".into(), image.bytes.len().to_string()),
+                            ("seq".into(), seq.to_string()),
                         ],
                     ));
-                    member.install_checkpoint(image);
-                }
-                // Route kernel notes produced by this apply.
-                for note in note_rx.try_iter() {
-                    let routed_at = Instant::now();
-                    let route_ok =
-                        |local: LocalId, outcome: &str, payload: Result<CompletionOk, FtError>| {
-                            if let Some((tx, t0)) = shared.waiting.lock().remove(&local) {
-                                shared.hist_total.observe(t0.elapsed());
-                                shared.completions.inc();
-                                shared.spans.record(
-                                    linda_obs::TraceId::new(host.0, local),
-                                    "complete",
-                                    host.0,
-                                    vec![("outcome".into(), outcome.into())],
-                                );
-                                let _ = tx.send(payload);
-                                shared.hist_notify.observe(routed_at.elapsed());
-                            }
-                        };
-                    match note {
-                        KernelNote::Completed { local, result, .. } => {
-                            let outcome = if result.is_ok() { "ok" } else { "err" };
-                            route_ok(
-                                local,
-                                outcome,
-                                result.map(CompletionOk::Ags).map_err(FtError::Exec),
-                            );
-                        }
-                        KernelNote::TsCreated { local, id, .. } => {
-                            route_ok(local, "ts_created", Ok(CompletionOk::Ts(id)));
-                        }
-                        KernelNote::XCheckedOut { local, buckets, .. } => {
-                            route_ok(local, "xlock", Ok(CompletionOk::Buckets(buckets)));
-                        }
-                        KernelNote::XStaged {
-                            local,
-                            result,
-                            writebacks,
-                            ..
-                        } => {
-                            route_ok(
-                                local,
-                                "xexec",
-                                Ok(CompletionOk::Staged { result, writebacks }),
-                            );
-                        }
-                        KernelNote::XReleased { local, .. } => {
-                            route_ok(local, "xrelease", Ok(CompletionOk::Released));
-                        }
-                        KernelNote::HostFailed { host, .. } => {
-                            Self::publish(&shared, FtEvent::HostFailed(host));
-                        }
-                        KernelNote::HostJoined { host, .. } => {
-                            Self::publish(&shared, FtEvent::HostJoined(host));
-                        }
-                        KernelNote::Restored { seq } => {
-                            shared.obs.events_handle().emit(linda_obs::Event::new(
-                                "state_restored",
-                                vec![
-                                    ("host".into(), host.to_string()),
-                                    ("shard".into(), lane_idx.to_string()),
-                                    ("seq".into(), seq.to_string()),
-                                ],
-                            ));
-                            // The replica jumped to a checkpoint image:
-                            // calls in flight across the jump are
-                            // indeterminate (their records may lie inside
-                            // the compacted history). Fail their waiters
-                            // explicitly rather than leaving them hung.
-                            let mut w = shared.waiting.lock();
-                            for (_, (tx, _)) in w.drain() {
-                                let _ = tx.send(Err(FtError::StateTransfer));
-                            }
-                        }
-                        KernelNote::Evicted { seq } => {
-                            shared.obs.events_handle().emit(linda_obs::Event::new(
-                                "evicted",
-                                vec![
-                                    ("host".into(), host.to_string()),
-                                    ("shard".into(), lane_idx.to_string()),
-                                    ("seq".into(), seq.to_string()),
-                                ],
-                            ));
-                            // The coordinator ordered a Fail for us while
-                            // we were alive: records delivered between the
-                            // Fail and our re-admission bypassed us, so
-                            // in-flight calls are indeterminate. Fail
-                            // their waiters rather than leaving them hung
-                            // until the rejoin replays the stream.
-                            let mut w = shared.waiting.lock();
-                            for (_, (tx, _)) in w.drain() {
-                                let _ = tx.send(Err(FtError::Evicted));
-                            }
-                        }
-                        KernelNote::RestoreFailed { seq, ref error } => {
-                            shared.obs.events_handle().emit(linda_obs::Event::new(
-                                "restore_failed",
-                                vec![
-                                    ("host".into(), host.to_string()),
-                                    ("shard".into(), lane_idx.to_string()),
-                                    ("seq".into(), seq.to_string()),
-                                    ("error".into(), error.to_string()),
-                                ],
-                            ));
-                        }
-                        KernelNote::Malformed { .. } => {}
+                    // The replica jumped to a checkpoint image:
+                    // calls in flight across the jump are
+                    // indeterminate (their records may lie inside
+                    // the compacted history). Fail their waiters
+                    // explicitly rather than leaving them hung.
+                    let mut w = shared.waiting.lock();
+                    for (_, (tx, _)) in w.drain() {
+                        let _ = tx.send(Err(FtError::StateTransfer));
                     }
                 }
-            })
-            .expect("spawn apply thread");
+                KernelNote::Evicted { seq } => {
+                    shared.obs.events_handle().emit(linda_obs::Event::new(
+                        "evicted",
+                        vec![
+                            ("host".into(), host.to_string()),
+                            ("shard".into(), lane_idx.to_string()),
+                            ("seq".into(), seq.to_string()),
+                        ],
+                    ));
+                    // The coordinator ordered a Fail for us while
+                    // we were alive: records delivered between the
+                    // Fail and our re-admission bypassed us, so
+                    // in-flight calls are indeterminate. Fail
+                    // their waiters rather than leaving them hung
+                    // until the rejoin replays the stream.
+                    let mut w = shared.waiting.lock();
+                    for (_, (tx, _)) in w.drain() {
+                        let _ = tx.send(Err(FtError::Evicted));
+                    }
+                }
+                KernelNote::RestoreFailed { seq, ref error } => {
+                    shared.obs.events_handle().emit(linda_obs::Event::new(
+                        "restore_failed",
+                        vec![
+                            ("host".into(), host.to_string()),
+                            ("shard".into(), lane_idx.to_string()),
+                            ("seq".into(), seq.to_string()),
+                            ("error".into(), error.to_string()),
+                        ],
+                    ));
+                }
+                KernelNote::Malformed { .. } => {}
+            }
+        }
     }
 
     /// Background starvation watchdog: periodically runs every lane
@@ -429,21 +486,15 @@ impl Runtime {
     /// resolved map — nearest-miss counts are attributed to the shard
     /// that actually stores the bucket, not read as zero from the lane
     /// where the AGS happens to be queued.
-    fn spawn_watchdog(&self, threshold: Duration) {
-        let shared = self.shared.clone();
-        let host = self.host;
+    fn spawn_watchdog(shared: &Arc<Shared>, threshold: Duration) {
+        let name = format!("ftlinda-watchdog-{}", shared.lanes[0].member.host());
         // Sweep a few times per threshold so a crossing is reported
         // promptly, but never spin faster than 10ms.
         let period = (threshold / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
-        std::thread::Builder::new()
-            .name(format!("ftlinda-watchdog-{host}"))
-            .spawn(move || {
-                while shared.alive.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(period);
-                    Self::sweep_lanes(&shared, threshold);
-                }
-            })
-            .expect("spawn starvation watchdog");
+        let sweep = shared.clone();
+        shared.workers.spawn_periodic(name, period, move || {
+            Self::sweep_lanes(&sweep, threshold);
+        });
     }
 
     /// One shard-aware watchdog pass over every lane (see
@@ -542,8 +593,8 @@ impl Runtime {
             None => rx.recv().map_err(|_| FtError::Shutdown)?,
             Some(t) => match rx.recv_timeout(t) {
                 Ok(r) => r,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(FtError::Timeout),
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(FtError::Shutdown),
+                Err(RecvTimeoutError::Timeout) => Err(FtError::Timeout),
+                Err(RecvTimeoutError::Disconnected) => Err(FtError::Shutdown),
             },
         }
     }
@@ -1179,16 +1230,16 @@ impl Runtime {
             .fault_inject(ts, t)
     }
 
-    /// Stop the apply threads (cluster teardown).
+    /// Stop this runtime and join its threads (cluster teardown, or a
+    /// restart retiring this incarnation). Stopping each lane's member
+    /// closes its delivery stream, so the apply threads fail every
+    /// outstanding call with [`FtError::Shutdown`] and exit. A second
+    /// call is a no-op.
     pub fn shutdown(&self) {
-        self.shared.alive.store(false, AtomicOrdering::Relaxed);
         for lane in &self.shared.lanes {
             lane.member.stop();
         }
-        let mut w = self.shared.waiting.lock();
-        for (_, (tx, _)) in w.drain() {
-            let _ = tx.send(Err(FtError::Shutdown));
-        }
+        self.shared.workers.stop();
     }
 }
 
@@ -1302,8 +1353,8 @@ impl AgsHandle {
                 CompletionOk::Ags(o) => Ok(o),
                 other => unreachable!("AGS resolved as {other:?}"),
             },
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(FtError::Timeout),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(FtError::Shutdown),
+            Err(RecvTimeoutError::Timeout) => Err(FtError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(FtError::Shutdown),
         }
     }
 

@@ -24,7 +24,7 @@ use ftlinda_ags::{Ags, AgsOutcome, TsId};
 use linda_obs::TraceId;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,13 +37,17 @@ enum RpcRequest {
         ags: Box<Ags>,
         reply: crossbeam::channel::Sender<Result<AgsOutcome, FtError>>,
     },
+    /// Ends the handler that receives it ([`TupleServer::stop`] sends one
+    /// per handler).
+    Stop,
 }
 
 /// A request handler running on a replica-hosting machine, serving
 /// library calls forwarded from non-replica hosts.
 pub struct TupleServer {
     tx: crossbeam::channel::Sender<RpcRequest>,
-    alive: Arc<AtomicBool>,
+    /// Handler threads still running; zeroed by [`TupleServer::stop`].
+    handlers: AtomicUsize,
     rt: Runtime,
 }
 
@@ -58,28 +62,30 @@ impl TupleServer {
     /// tears the partial server down (its `Drop` stops the survivors).
     pub fn start(rt: Runtime, handlers: usize) -> std::io::Result<TupleServer> {
         let (tx, rx) = crossbeam::channel::unbounded::<RpcRequest>();
-        let alive = Arc::new(AtomicBool::new(true));
-        let server = TupleServer { tx, alive, rt };
+        let mut server = TupleServer {
+            tx,
+            handlers: AtomicUsize::new(0),
+            rt,
+        };
         for i in 0..handlers.max(1) {
             let rx = rx.clone();
             let rt = server.rt.clone();
-            let alive = server.alive.clone();
             std::thread::Builder::new()
                 .name(format!("tuple-server-{i}"))
                 .spawn(move || {
-                    while alive.load(Ordering::Relaxed) {
-                        match rx.recv_timeout(Duration::from_millis(100)) {
-                            Ok(RpcRequest::CreateTs { name, reply }) => {
+                    while let Ok(req) = rx.recv() {
+                        match req {
+                            RpcRequest::CreateTs { name, reply } => {
                                 let _ = reply.send(rt.create_stable_ts(&name));
                             }
-                            Ok(RpcRequest::Execute { ags, reply }) => {
+                            RpcRequest::Execute { ags, reply } => {
                                 let _ = reply.send(rt.execute(&ags));
                             }
-                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                            RpcRequest::Stop => return,
                         }
                     }
                 })?;
+            *server.handlers.get_mut() += 1;
         }
         Ok(server)
     }
@@ -98,9 +104,14 @@ impl TupleServer {
         }
     }
 
-    /// Stop the handler threads.
+    /// Stop the handler threads: each exits once it has served the
+    /// requests queued ahead of its stop message. Idempotent. It does not
+    /// wait for them, since a handler may be blocked in a call that only
+    /// the runtime's shutdown ends.
     pub fn stop(&self) {
-        self.alive.store(false, Ordering::Relaxed);
+        for _ in 0..self.handlers.swap(0, Ordering::Relaxed) {
+            let _ = self.tx.send(RpcRequest::Stop);
+        }
     }
 }
 
@@ -220,22 +231,18 @@ impl HttpExporter {
         // still in TIME_WAIT.
         let listener = consul_sim::bind_reuse(SocketAddr::from(([127, 0, 0, 1], port)))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let handle = std::thread::Builder::new()
             .name(format!("http-exporter-{}", addr.port()))
             .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Responses are small; serve on this thread.
-                            let _ = serve_connection(stream, &sources);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                for stream in listener.incoming() {
+                    if stop2.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    if let Ok(stream) = stream {
+                        // Responses are small; serve on this thread.
+                        let _ = serve_connection(stream, &sources);
                     }
                 }
             })?;
@@ -251,11 +258,15 @@ impl HttpExporter {
         self.addr
     }
 
-    /// Stop the listener thread and wait for it to exit.
+    /// Stop the listener thread and wait for it to exit: one loopback
+    /// connect wakes its blocking `accept`. (Should even that connect
+    /// fail, the thread is left to exit on its next connection.)
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
-            let _ = h.join();
+            if TcpStream::connect(self.addr).is_ok() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -267,7 +278,6 @@ impl Drop for HttpExporter {
 }
 
 fn serve_connection(mut stream: TcpStream, sources: &ExporterSources) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     // Read until the end of the request head (or 4 KiB — paths we serve
     // are short, and we never read a body).

@@ -1,8 +1,31 @@
 //! End-to-end tests of the FT-Linda runtime over the simulated cluster.
 
-use ftlinda::{Ags, Cluster, FtError, HostId, MatchField as MF, NetConfig, Operand, TypeTag};
+use ftlinda::{
+    Ags, Cluster, FtError, HostId, MatchField as MF, NetConfig, Operand, Runtime, TypeTag,
+};
 use linda_tuple::{pat, tuple, Value};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Poll `cond` until it holds; fail the test after 5 s.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Block until every runtime has applied everything `origin` has.
+fn wait_all_applied(rts: &[Runtime], origin: &Runtime) {
+    let seq = origin.applied_seq();
+    for rt in rts {
+        assert!(
+            rt.wait_applied(seq, Duration::from_secs(5)),
+            "{} never applied seq {seq}",
+            rt.host()
+        );
+    }
+}
 
 #[test]
 fn out_on_one_host_in_on_another() {
@@ -26,7 +49,7 @@ fn blocking_in_wakes_on_remote_out() {
     let ts = rts[0].create_stable_ts("main").unwrap();
     let rt1 = rts[1].clone();
     let waiter = std::thread::spawn(move || rt1.in_(ts, &pat!("later", ?int)).unwrap());
-    std::thread::sleep(Duration::from_millis(50));
+    wait_until("the in to block", || rts[1].blocked_len() >= 1);
     rts[0].out(ts, tuple!("later", 7)).unwrap();
     assert_eq!(waiter.join().unwrap(), tuple!("later", 7));
     cluster.shutdown();
@@ -93,13 +116,7 @@ fn replicas_converge_after_traffic() {
         rts[1].in_(ts, &pat!("n", ?int)).unwrap();
     }
     // Wait for all replicas to catch up to the same seq.
-    let target = rts[1].applied_seq();
-    for _ in 0..200 {
-        if rts.iter().all(|r| r.applied_seq() >= target) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_all_applied(&rts, &rts[1]);
     let d0 = rts[0].digest();
     assert_eq!(d0, rts[1].digest());
     assert_eq!(d0, rts[2].digest());
@@ -132,6 +149,26 @@ fn failure_event_subscription() {
 }
 
 #[test]
+fn restart_fails_the_replaced_incarnations_calls() {
+    let (cluster, rts) = Cluster::new(3);
+    let ts = rts[0].create_stable_ts("main").unwrap();
+    wait_all_applied(&rts, &rts[0]);
+    let old = rts[2].clone();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(old.in_(ts, &pat!("never"))));
+    wait_until("the in to block", || rts[2].blocked_len() >= 1);
+    cluster.crash(HostId(2));
+    rts[0].in_(ts, &pat!("failure", 2)).unwrap();
+    cluster.restart(HostId(2));
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(5)),
+        Ok(Err(FtError::Shutdown)),
+        "the replaced incarnation's blocked call ends with the restart"
+    );
+    cluster.shutdown();
+}
+
+#[test]
 fn crash_and_restart_rejoins_with_converged_state() {
     let (cluster, rts) = Cluster::new(3);
     let ts = rts[0].create_stable_ts("main").unwrap();
@@ -143,14 +180,7 @@ fn crash_and_restart_rejoins_with_converged_state() {
     rts[0].out(ts, tuple!("post-crash")).unwrap();
     let rt2 = cluster.restart(HostId(2));
     // Wait for replay to converge.
-    let target = rts[0].applied_seq();
-    for _ in 0..300 {
-        if rt2.applied_seq() >= target {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(rt2.applied_seq() >= target, "joiner caught up");
+    wait_all_applied(std::slice::from_ref(&rt2), &rts[0]);
     assert_eq!(rt2.snapshot(ts), rts[0].snapshot(ts));
     // And the restarted host can participate again.
     rt2.out(ts, tuple!("back")).unwrap();
@@ -232,11 +262,11 @@ fn one_multicast_per_ags_regardless_of_body_size() {
     // messages.
     let (cluster, rts) = Cluster::new(3);
     let ts = rts[0].create_stable_ts("main").unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_all_applied(&rts, &rts[0]);
 
     cluster.reset_net_stats();
     rts[1].out(ts, tuple!("single")).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_all_applied(&rts, &rts[1]);
     let (small, _) = cluster.net_stats();
 
     cluster.reset_net_stats();
@@ -245,7 +275,7 @@ fn one_multicast_per_ags_regardless_of_body_size() {
         b = b.out(ts, vec![Operand::cst("multi"), Operand::cst(i as i64)]);
     }
     rts[1].execute(&b.build().unwrap()).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_all_applied(&rts, &rts[1]);
     let (big, _) = cluster.net_stats();
 
     assert_eq!(small, big, "10-op AGS costs the same messages as 1-op");

@@ -98,6 +98,18 @@ fn main() {
         .expect("cross-shard commit recorded xbegin")
         .trace;
 
+    // The smoke script wants two `/timeseries` snapshots at its first
+    // scrape: announce the members only once the sampler has taken them.
+    let ring = cluster.timeseries().expect("time-series sampler on");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while ring.len() < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "sampler never took two snapshots"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
     for rt in &rts {
         let addr = cluster
             .http_addr(rt.host())
