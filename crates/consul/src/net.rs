@@ -12,18 +12,23 @@
 //!   fail-silent crashes into fail-stop notifications (paper §2.3)
 //! * message and byte accounting for the E9 experiment
 //!
-//! The router runs on its own thread, draining a monotonic delay queue.
-//! Per-link FIFO order is preserved even with jitter (delivery times are
-//! clamped monotonically per link), which matches Ethernet + x-kernel
-//! behaviour closely enough for the protocols built on top.
+//! A message whose total delay (latency + jitter draw + NIC service) is
+//! zero, on a link with nothing still waiting in the delay queue, goes
+//! straight into the receiver's inbox on the sender's thread. Everything
+//! that has a delay — and every detector notice — goes into a monotonic
+//! delay queue that the router thread drains. Per-link FIFO order is
+//! preserved even with jitter (delivery times are clamped monotonically
+//! per link, and a zero-delay message queues behind its link's backlog),
+//! which matches Ethernet + x-kernel behaviour closely enough for the
+//! protocols built on top.
 
 use crate::stats::NetStats;
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -159,6 +164,8 @@ pub trait WireSized {
 struct Scheduled<M> {
     due: Instant,
     tie: u64,
+    /// Sending host; `None` for detector notices.
+    from: Option<HostId>,
     to: HostId,
     event: NetEvent<M>,
 }
@@ -188,7 +195,9 @@ struct RouterState<M> {
     queue: BinaryHeap<Scheduled<M>>,
     inboxes: HashMap<HostId, crossbeam::channel::Sender<NetEvent<M>>>,
     crashed: HashMap<HostId, bool>,
-    last_delivery: HashMap<(HostId, HostId), Instant>,
+    /// Messages of each `(from, to)` link still in `queue`; a link with
+    /// none is absent.
+    backlog: HashMap<(HostId, HostId), Backlog>,
     /// When each host's egress NIC finishes its current backlog (only
     /// maintained when [`NetConfig::nic`] is set).
     nic_free: HashMap<HostId, Instant>,
@@ -197,12 +206,36 @@ struct RouterState<M> {
     shutdown: bool,
 }
 
+/// A link's messages still waiting in the delay queue.
+struct Backlog {
+    queued: usize,
+    /// Delivery time of the link's latest queued message.
+    last_due: Instant,
+}
+
+impl<M> RouterState<M> {
+    fn is_crashed(&self, host: HostId) -> bool {
+        self.crashed.get(&host).copied().unwrap_or(false)
+    }
+
+    /// Hand `event` to `to`'s inbox; traffic to a crashed host is dropped.
+    fn deliver(&self, to: HostId, event: NetEvent<M>) {
+        if self.is_crashed(to) {
+            return;
+        }
+        if let Some(tx) = self.inboxes.get(&to) {
+            // Receiver may be gone after restart; dropping is correct
+            // (host is dead).
+            let _ = tx.send(event);
+        }
+    }
+}
+
 struct NetInner<M> {
     state: Mutex<RouterState<M>>,
     cond: Condvar,
     cfg: NetConfig,
     stats: NetStats,
-    running: AtomicBool,
 }
 
 /// The simulated network. Clone handles freely; all clones alias one
@@ -235,7 +268,7 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
                 queue: BinaryHeap::new(),
                 inboxes,
                 crashed: HashMap::new(),
-                last_delivery: HashMap::new(),
+                backlog: HashMap::new(),
                 nic_free: HashMap::new(),
                 rng: StdRng::seed_from_u64(cfg.seed),
                 tie: 0,
@@ -244,7 +277,6 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
             cond: Condvar::new(),
             cfg,
             stats: NetStats::default(),
-            running: AtomicBool::new(true),
         });
         let net = SimNet { inner };
         net.spawn_router();
@@ -268,21 +300,18 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
                         let now = Instant::now();
                         if due <= now {
                             let item = st.queue.pop().expect("peeked");
-                            // Drop traffic to crashed hosts; control
-                            // notices are delivered regardless (they come
-                            // from the detector, not the host).
-                            let to_crashed = st.crashed.get(&item.to).copied().unwrap_or(false);
-                            let deliver = match &item.event {
-                                NetEvent::Msg { .. } => !to_crashed,
-                                _ => !to_crashed,
-                            };
-                            if deliver {
-                                if let Some(tx) = st.inboxes.get(&item.to) {
-                                    // Receiver may be gone after restart;
-                                    // dropping is correct (host is dead).
-                                    let _ = tx.send(item.event);
+                            if let Some(from) = item.from {
+                                if let Entry::Occupied(mut link) = st.backlog.entry((from, item.to))
+                                {
+                                    link.get_mut().queued -= 1;
+                                    if link.get().queued == 0 {
+                                        link.remove();
+                                    }
                                 }
                             }
+                            // Messages and detector notices alike are
+                            // dropped when their destination is crashed.
+                            st.deliver(item.to, item.event);
                             drop(st);
                         } else {
                             inner.cond.wait_until(&mut st, due);
@@ -315,6 +344,9 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
         event: NetEvent<M>,
         extra: Duration,
     ) {
+        if st.shutdown {
+            return;
+        }
         let now = Instant::now();
         let jitter = if self.inner.cfg.jitter.is_zero() {
             Duration::ZERO
@@ -322,22 +354,37 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
             let j = self.inner.cfg.jitter.as_nanos() as u64;
             Duration::from_nanos(st.rng.gen_range(0..=j))
         };
-        let mut due = now + self.inner.cfg.latency + jitter + extra;
-        // Preserve per-link FIFO.
+        let delay = self.inner.cfg.latency + jitter + extra;
+        let mut due = now + delay;
         if let Some(f) = from {
-            let key = (f, to);
-            if let Some(last) = st.last_delivery.get(&key) {
-                if due < *last {
-                    due = *last;
+            match st.backlog.entry((f, to)) {
+                // Nothing of this link is still queued, so delivering now
+                // keeps it FIFO: the router hop would model no delay.
+                Entry::Vacant(_) if delay.is_zero() => {
+                    st.deliver(to, event);
+                    return;
+                }
+                Entry::Vacant(link) => {
+                    link.insert(Backlog {
+                        queued: 1,
+                        last_due: due,
+                    });
+                }
+                // Preserve per-link FIFO behind the queued messages.
+                Entry::Occupied(mut link) => {
+                    let link = link.get_mut();
+                    due = due.max(link.last_due);
+                    link.last_due = due;
+                    link.queued += 1;
                 }
             }
-            st.last_delivery.insert(key, due);
         }
         st.tie += 1;
         let tie = st.tie;
         st.queue.push(Scheduled {
             due,
             tie,
+            from,
             to,
             event,
         });
@@ -348,7 +395,7 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
     /// host's last gasps never reach the wire) or `to` is crashed.
     pub fn send(&self, from: HostId, to: HostId, msg: M) {
         let mut st = self.inner.state.lock();
-        if st.crashed.get(&from).copied().unwrap_or(false) {
+        if st.is_crashed(from) {
             return;
         }
         let size = msg.wire_size();
@@ -371,7 +418,7 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
         M: Clone,
     {
         let mut st = self.inner.state.lock();
-        if st.crashed.get(&from).copied().unwrap_or(false) {
+        if st.is_crashed(from) {
             return;
         }
         for dest in to {
@@ -400,7 +447,7 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
     /// [`NetEvent::CrashNotice`].
     pub fn crash(&self, host: HostId) {
         let mut st = self.inner.state.lock();
-        if st.crashed.get(&host).copied().unwrap_or(false) {
+        if st.is_crashed(host) {
             return;
         }
         st.crashed.insert(host, true);
@@ -413,7 +460,7 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
             .inboxes
             .keys()
             .copied()
-            .filter(|h| *h != host && !st.crashed.get(h).copied().unwrap_or(false))
+            .filter(|h| *h != host && !st.is_crashed(*h))
             .collect();
         for p in peers {
             self.schedule(
@@ -466,7 +513,7 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
             .inboxes
             .keys()
             .copied()
-            .filter(|h| !st.crashed.get(h).copied().unwrap_or(false))
+            .filter(|h| !st.is_crashed(*h))
             .collect();
         for p in peers {
             self.schedule(
@@ -482,13 +529,7 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
 
     /// Whether `host` is currently crashed.
     pub fn is_crashed(&self, host: HostId) -> bool {
-        self.inner
-            .state
-            .lock()
-            .crashed
-            .get(&host)
-            .copied()
-            .unwrap_or(false)
+        self.inner.state.lock().is_crashed(host)
     }
 
     /// All hosts currently not crashed.
@@ -498,7 +539,7 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
             .inboxes
             .keys()
             .copied()
-            .filter(|h| !st.crashed.get(h).copied().unwrap_or(false))
+            .filter(|h| !st.is_crashed(*h))
             .collect();
         v.sort_unstable();
         v
@@ -523,7 +564,6 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
 
     /// Stop the router thread. Further sends are dropped.
     pub fn shutdown(&self) {
-        self.inner.running.store(false, AtomicOrdering::SeqCst);
         self.inner.state.lock().shutdown = true;
         self.inner.cond.notify_all();
     }
@@ -759,6 +799,129 @@ mod tests {
             "parallel NICs took {elapsed:?}"
         );
         net.shutdown();
+    }
+
+    /// Every `Msg` already in `rx`, in arrival order (notices skipped).
+    fn msgs_now(rx: &crossbeam::channel::Receiver<NetEvent<TestMsg>>) -> Vec<(HostId, TestMsg)> {
+        let mut out = Vec::new();
+        while let Ok(ev) = rx.try_recv() {
+            if let NetEvent::Msg { from, msg } = ev {
+                out.push((from, msg));
+            }
+        }
+        out
+    }
+
+    /// Wait until the router has popped every queued event.
+    fn wait_drained(net: &SimNet<TestMsg>) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while net.in_flight() > 0 {
+            assert!(Instant::now() < deadline, "network never drained");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn zero_delay_send_is_in_the_inbox_when_send_returns() {
+        let (net, rxs) = SimNet::<TestMsg>::new(3, NetConfig::instant());
+        net.send(HostId(0), HostId(1), TestMsg(1));
+        assert_eq!(net.in_flight(), 0, "no router hop for a zero delay");
+        assert_eq!(msgs_now(&rxs[1]), vec![(HostId(0), TestMsg(1))]);
+        net.multicast(HostId(0), [HostId(1), HostId(2)], TestMsg(2));
+        assert_eq!(net.in_flight(), 0);
+        for rx in &rxs[1..] {
+            assert_eq!(msgs_now(rx), vec![(HostId(0), TestMsg(2))]);
+        }
+        net.shutdown();
+    }
+
+    /// A 1 ns jitter draws 0 or 1 ns: half the messages may skip the
+    /// router and half must queue, so a zero-delay message often finds
+    /// its link's backlog still waiting and has to queue behind it.
+    #[test]
+    fn fifo_per_link_when_zero_and_nonzero_delays_mix() {
+        const HOSTS: u32 = 4;
+        const PER_LINK: u64 = 200;
+        let cfg = NetConfig {
+            jitter: Duration::from_nanos(1),
+            ..NetConfig::default()
+        };
+        let (net, rxs) = SimNet::<TestMsg>::new(HOSTS, cfg);
+        std::thread::scope(|s| {
+            for from in 0..HOSTS {
+                let net = &net;
+                s.spawn(move || {
+                    for i in 0..PER_LINK {
+                        for to in (0..HOSTS).filter(|to| *to != from) {
+                            net.send(HostId(from), HostId(to), TestMsg(i));
+                        }
+                    }
+                });
+            }
+        });
+        let senders = (HOSTS - 1) as usize;
+        for (to, rx) in rxs.iter().enumerate() {
+            let mut next = HashMap::new();
+            for _ in 0..senders * PER_LINK as usize {
+                let (from, TestMsg(i)) = recv_msg(rx, Duration::from_secs(2)).expect("lost");
+                let want = next.entry(from).or_insert(0);
+                assert_eq!(i, *want, "link {from}->host{to} reordered");
+                *want += 1;
+            }
+            assert_eq!(next.len(), senders);
+        }
+        assert_eq!(
+            net.stats().messages(),
+            u64::from(HOSTS) * senders as u64 * PER_LINK
+        );
+        net.shutdown();
+    }
+
+    #[test]
+    fn sends_after_shutdown_are_dropped() {
+        let (net, rxs) = SimNet::<TestMsg>::new(2, NetConfig::instant());
+        net.shutdown();
+        net.send(HostId(0), HostId(1), TestMsg(1));
+        net.multicast(HostId(1), [HostId(0), HostId(1)], TestMsg(2));
+        assert_eq!(net.in_flight(), 0);
+        for rx in &rxs {
+            assert!(msgs_now(rx).is_empty());
+        }
+    }
+
+    /// Crash semantics and accounting are the same whether a message
+    /// skips the router (zero delay) or waits in its queue.
+    #[test]
+    fn crashed_hosts_are_silent_on_both_paths() {
+        let delayed = NetConfig {
+            latency: Duration::from_millis(2),
+            ..NetConfig::default()
+        };
+        for cfg in [NetConfig::instant(), delayed] {
+            // A crashed sender puts nothing on the wire and is not counted.
+            let (net, rxs) = SimNet::<TestMsg>::new(3, cfg.clone());
+            net.crash(HostId(0));
+            net.send(HostId(0), HostId(1), TestMsg(1));
+            net.multicast(HostId(0), [HostId(1), HostId(2)], TestMsg(2));
+            wait_drained(&net);
+            assert_eq!(net.stats().snapshot(), (0, 0));
+            for rx in &rxs[1..] {
+                assert!(msgs_now(rx).is_empty(), "crashed sender delivered");
+            }
+            net.shutdown();
+
+            // Traffic to a crashed host is counted but never delivered;
+            // live destinations of the same multicast still get theirs.
+            let (net, rxs) = SimNet::<TestMsg>::new(3, cfg);
+            net.crash(HostId(1));
+            net.send(HostId(0), HostId(1), TestMsg(3));
+            net.multicast(HostId(0), [HostId(1), HostId(2)], TestMsg(4));
+            wait_drained(&net);
+            assert_eq!(net.stats().snapshot(), (3, 24));
+            assert!(msgs_now(&rxs[1]).is_empty(), "crashed receiver got mail");
+            assert_eq!(msgs_now(&rxs[2]), vec![(HostId(0), TestMsg(4))]);
+            net.shutdown();
+        }
     }
 
     #[test]

@@ -2282,14 +2282,20 @@ mod tests {
         g.shutdown();
     }
 
-    /// Wait until the simulated network has handed every scheduled
-    /// message to its inbox.
-    fn wait_net_drained(g: &SeqGroup) {
+    /// Poll until `done` holds, failing the test after five seconds.
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while g.net().in_flight() > 0 {
-            assert!(Instant::now() < deadline, "network never drained");
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// Wait until the simulated network has handed every scheduled
+    /// message to its inbox. The receiving member may not have handled
+    /// it yet; only messages later in the same inbox are ordered after it.
+    fn wait_net_drained(g: &SeqGroup) {
+        wait_for("the network to drain", || g.net().in_flight() == 0);
     }
 
     /// An origin whose detector fires before the elect's resubmits to a
@@ -2307,6 +2313,8 @@ mod tests {
                 payload: post.clone(),
             },
         );
+        // Host 1 need not have handled the submit yet: once it is in
+        // the inbox, the crash notice queues behind it.
         wait_net_drained(&g);
         g.crash(HostId(0));
         for m in &ms[1..] {
@@ -2340,8 +2348,11 @@ mod tests {
                 payload: Bytes::from_static(b"stray"),
             },
         );
-        wait_net_drained(&g);
-        assert_eq!(ms[1].state.lock().buffered_submits.len(), 1);
+        // The submit sits in host 1's inbox as soon as `send` returns;
+        // wait for the member thread to park it.
+        wait_for("host 1 to park the submit", || {
+            ms[1].state.lock().buffered_submits.len() == 1
+        });
         ms[0].broadcast(Bytes::from_static(b"x"));
         let _ = collect_n(&ms[1], 1, Duration::from_secs(2));
         assert!(ms[1].state.lock().buffered_submits.is_empty());

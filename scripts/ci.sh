@@ -15,6 +15,16 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> ordering-layer suites, 5 more runs"
+# Zero-delay sends hand a message to the receiver's inbox on the
+# sender's thread, so these suites run thread handoffs back to back; a
+# test that reads state before the receiving thread has handled its
+# message fails only on some interleavings. Each run takes about 1 s.
+for _ in 1 2 3 4 5; do
+    cargo test -q -p consul-sim --lib
+    cargo test -q -p consul-sim --test stress_tests
+done
+
 echo "==> bench smoke (assertions only, no measurement)"
 # batch_window runs 8 submitters with group commit off and on, asserts
 # one multicast per AGS when off and fewer when on, and writes the
