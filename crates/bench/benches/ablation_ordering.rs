@@ -12,7 +12,7 @@ use consul_sim::{Delivery, IsisGroup, NetConfig, SeqGroup};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
-fn wait_own(rx: &crossbeam::channel::Receiver<Delivery>, local: u64, me: consul_sim::HostId) {
+fn wait_own(rx: &std::sync::mpsc::Receiver<Delivery>, local: u64, me: consul_sim::HostId) {
     loop {
         match rx.recv_timeout(Duration::from_secs(5)).expect("delivery") {
             Delivery::App {
@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
         let (sg, sm) = SeqGroup::new(n, NetConfig::instant());
         sg.net().stats().reset();
         let l = sm[1].broadcast(Bytes::from_static(b"m"));
-        wait_own(sm[1].deliveries(), l, sm[1].host());
+        wait_own(&sm[1].deliveries(), l, sm[1].host());
         std::thread::sleep(Duration::from_millis(30));
         let (seq_msgs, _) = sg.net().stats().snapshot();
         sg.shutdown();
@@ -37,7 +37,7 @@ fn bench(c: &mut Criterion) {
         let (ig, im) = IsisGroup::new(n, NetConfig::instant());
         ig.net().stats().reset();
         let l = im[1].broadcast(Bytes::from_static(b"m"));
-        wait_own(im[1].deliveries(), l, im[1].host());
+        wait_own(&im[1].deliveries(), l, im[1].host());
         std::thread::sleep(Duration::from_millis(30));
         let (isis_msgs, _) = ig.net().stats().snapshot();
         ig.shutdown();
@@ -56,7 +56,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("sequencer_{n}"), |b| {
             b.iter(|| {
                 let l = sm[1].broadcast(Bytes::from_static(b"payload"));
-                wait_own(sm[1].deliveries(), l, sm[1].host());
+                wait_own(&sm[1].deliveries(), l, sm[1].host());
             })
         });
         sg.shutdown();
@@ -65,7 +65,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("isis_{n}"), |b| {
             b.iter(|| {
                 let l = im[1].broadcast(Bytes::from_static(b"payload"));
-                wait_own(im[1].deliveries(), l, im[1].host());
+                wait_own(&im[1].deliveries(), l, im[1].host());
             })
         });
         ig.shutdown();

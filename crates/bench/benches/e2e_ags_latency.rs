@@ -45,19 +45,16 @@ fn bench(c: &mut Criterion) {
         let ags = counter_ags(ts);
         // Drive a non-coordinator client (host 1: submit hop + ordered
         // hop + apply), then read the pipeline's own per-stage
-        // histograms — the printed numbers are what `/metrics` exports.
-        let reps = 50;
-        for _ in 0..reps {
-            rts[1].execute(&ags).unwrap();
-        }
+        // histograms over every AGS the Criterion loop ran — the printed
+        // numbers are what `/metrics` exports.
+        g.measurement_time(Duration::from_secs(2));
+        g.bench_function(format!("latency_{label}"), |b| {
+            b.iter(|| rts[1].execute(&ags).unwrap())
+        });
         let total = linda_bench::stage_snapshot(&rts[1].obs(), "ftlinda_ags_total_seconds");
         linda_bench::print_row(
             &format!("one-way latency {label}"),
-            format!(
-                "{:>10.1} µs/AGS mean (p95 ≤ {:.0} µs)",
-                total.mean().unwrap_or(0.0) * 1e6,
-                total.p95().unwrap_or(0.0) * 1e6
-            ),
+            linda_bench::stage_cell(&total),
         );
         if lat_us == 100 {
             // Full latency attribution at the paper-like setting: where
@@ -65,10 +62,6 @@ fn bench(c: &mut Criterion) {
             println!("  stage attribution at 100 µs links (client host 1):");
             linda_bench::print_stage_attribution(&[rts[1].obs()]);
         }
-        g.measurement_time(Duration::from_secs(2));
-        g.bench_function(format!("latency_{label}"), |b| {
-            b.iter(|| rts[1].execute(&ags).unwrap())
-        });
         cluster.shutdown();
     }
     g.finish();
@@ -111,18 +104,11 @@ fn bench(c: &mut Criterion) {
         rts[0].out(ts, linda_tuple::tuple!("count", 0)).unwrap();
         let ags = counter_ags(ts);
         let client = &rts[(n as usize) - 1];
-        let reps = 50;
-        for _ in 0..reps {
-            client.execute(&ags).unwrap();
-        }
-        let total = linda_bench::stage_snapshot(&client.obs(), "ftlinda_ags_total_seconds");
-        linda_bench::print_row(
-            &format!("{n} replicas"),
-            format!("{:>10.1} µs/AGS mean", total.mean().unwrap_or(0.0) * 1e6),
-        );
         g.bench_function(format!("replicas_{n}"), |b| {
             b.iter(|| client.execute(&ags).unwrap())
         });
+        let total = linda_bench::stage_snapshot(&client.obs(), "ftlinda_ags_total_seconds");
+        linda_bench::print_row(&format!("{n} replicas"), linda_bench::stage_cell(&total));
         cluster.shutdown();
     }
     g.finish();

@@ -81,9 +81,11 @@ fn run_attributed(workers: usize, tasks: i64, ft: bool) {
 }
 
 fn bench(c: &mut Criterion) {
-    println!("\nE5 — bag-of-tasks: per-stage latency attribution (40 tasks):");
-    run_attributed(2, 40, true);
-    run_attributed(2, 40, false);
+    // Two AGSs per task (take, commit): 500 tasks give the attribution
+    // over 1000+ worker AGSs, enough that one run's means hold still.
+    println!("\nE5 — bag-of-tasks: per-stage latency attribution (500 tasks):");
+    run_attributed(2, 500, true);
+    run_attributed(2, 500, false);
 
     println!("\nE5 — bag-of-tasks: 40 tasks, completion time:");
     let mut g = c.benchmark_group("fig_bagoftasks");

@@ -36,7 +36,7 @@ pub fn payload_tuple(head: &str, len: usize) -> Tuple {
 /// Returns the kernel and a sequence counter starting after the setup
 /// traffic.
 pub fn seeded_kernel(f: impl FnOnce(&mut Kernel, &mut u64)) -> (Kernel, u64) {
-    let (tx, rx) = crossbeam::channel::unbounded::<KernelNote>();
+    let (tx, rx) = std::sync::mpsc::channel::<KernelNote>();
     // Keep the receiver alive for the kernel's lifetime; notes are
     // drained by nobody (unbounded channel), which is fine for benches.
     std::mem::forget(rx);

@@ -17,7 +17,7 @@ use crate::net::{HostId, NetConfig, NetEvent, SimNet, WireSized};
 use crate::order::{Delivery, LocalId};
 use crate::stats::OrderStats;
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -76,7 +76,7 @@ struct State {
     universe: Vec<HostId>,
     clock: u64,
     net: SimNet<IsisMsg>,
-    dtx: crossbeam::channel::Sender<Delivery>,
+    dtx: std::sync::mpsc::Sender<Delivery>,
     stats: Arc<OrderStats>,
     /// Priority queue keyed by (current) timestamp.
     pending: BTreeMap<(Ts, HostId, LocalId), PendingEntry>,
@@ -169,7 +169,9 @@ impl State {
 pub struct IsisMember {
     me: HostId,
     state: Arc<Mutex<State>>,
-    deliveries: crossbeam::channel::Receiver<Delivery>,
+    /// Locked, as in `SeqMember`, so the member can be shared between
+    /// threads.
+    deliveries: Mutex<std::sync::mpsc::Receiver<Delivery>>,
     stats: Arc<OrderStats>,
     stop: Arc<AtomicBool>,
 }
@@ -191,7 +193,7 @@ impl IsisGroup {
             .enumerate()
             .map(|(i, rx)| {
                 let me = HostId(i as u32);
-                let (dtx, drx) = crossbeam::channel::unbounded();
+                let (dtx, drx) = std::sync::mpsc::channel();
                 let state = Arc::new(Mutex::new(State {
                     me,
                     universe: universe.clone(),
@@ -209,7 +211,7 @@ impl IsisGroup {
                 let member = IsisMember {
                     me,
                     state: state.clone(),
-                    deliveries: drx,
+                    deliveries: Mutex::new(drx),
                     stats: stats.clone(),
                     stop: stop.clone(),
                 };
@@ -222,8 +224,8 @@ impl IsisGroup {
                         match rx.recv_timeout(Duration::from_millis(50)) {
                             Ok(NetEvent::Msg { from, msg }) => state.lock().on_msg(from, msg),
                             Ok(_) => {} // no failure handling in the ablation protocol
-                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
+                            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
                         }
                     })
                     .expect("spawn isis member");
@@ -270,9 +272,10 @@ impl IsisMember {
         local
     }
 
-    /// The ordered delivery stream.
-    pub fn deliveries(&self) -> &crossbeam::channel::Receiver<Delivery> {
-        &self.deliveries
+    /// The ordered delivery stream, locked for as long as the guard
+    /// lives.
+    pub fn deliveries(&self) -> MutexGuard<'_, std::sync::mpsc::Receiver<Delivery>> {
+        self.deliveries.lock()
     }
 
     /// Stop the member's protocol thread.

@@ -193,7 +193,7 @@ impl<M> Ord for Scheduled<M> {
 
 struct RouterState<M> {
     queue: BinaryHeap<Scheduled<M>>,
-    inboxes: HashMap<HostId, crossbeam::channel::Sender<NetEvent<M>>>,
+    inboxes: HashMap<HostId, std::sync::mpsc::Sender<NetEvent<M>>>,
     crashed: HashMap<HostId, bool>,
     /// Messages of each `(from, to)` link still in `queue`; a link with
     /// none is absent.
@@ -255,11 +255,11 @@ impl<M: Send + 'static> Clone for SimNet<M> {
 impl<M: Send + WireSized + 'static> SimNet<M> {
     /// Create a network with `n` hosts (ids `0..n`), returning the network
     /// handle and each host's inbox receiver.
-    pub fn new(n: u32, cfg: NetConfig) -> (Self, Vec<crossbeam::channel::Receiver<NetEvent<M>>>) {
+    pub fn new(n: u32, cfg: NetConfig) -> (Self, Vec<std::sync::mpsc::Receiver<NetEvent<M>>>) {
         let mut inboxes = HashMap::new();
         let mut rxs = Vec::with_capacity(n as usize);
         for i in 0..n {
-            let (tx, rx) = crossbeam::channel::unbounded();
+            let (tx, rx) = std::sync::mpsc::channel();
             inboxes.insert(HostId(i), tx);
             rxs.push(rx);
         }
@@ -498,8 +498,8 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
     /// Restart a crashed host: installs a fresh inbox (returned) and, after
     /// the detection delay, announces a [`NetEvent::JoinNotice`] to every
     /// live host *including the restarted one*.
-    pub fn restart(&self, host: HostId) -> crossbeam::channel::Receiver<NetEvent<M>> {
-        let (tx, rx) = crossbeam::channel::unbounded();
+    pub fn restart(&self, host: HostId) -> std::sync::mpsc::Receiver<NetEvent<M>> {
+        let (tx, rx) = std::sync::mpsc::channel();
         let mut st = self.inner.state.lock();
         st.crashed.insert(host, false);
         st.nic_free.remove(&host);
@@ -591,7 +591,7 @@ mod tests {
     }
 
     fn recv_msg(
-        rx: &crossbeam::channel::Receiver<NetEvent<TestMsg>>,
+        rx: &std::sync::mpsc::Receiver<NetEvent<TestMsg>>,
         within: Duration,
     ) -> Option<(HostId, TestMsg)> {
         let deadline = Instant::now() + within;
@@ -802,7 +802,7 @@ mod tests {
     }
 
     /// Every `Msg` already in `rx`, in arrival order (notices skipped).
-    fn msgs_now(rx: &crossbeam::channel::Receiver<NetEvent<TestMsg>>) -> Vec<(HostId, TestMsg)> {
+    fn msgs_now(rx: &std::sync::mpsc::Receiver<NetEvent<TestMsg>>) -> Vec<(HostId, TestMsg)> {
         let mut out = Vec::new();
         while let Ok(ev) = rx.try_recv() {
             if let NetEvent::Msg { from, msg } = ev {

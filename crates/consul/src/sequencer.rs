@@ -48,7 +48,7 @@ use crate::stats::OrderStats;
 use crate::tcp::TcpLane;
 use crate::transport::SeqNet;
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -294,7 +294,7 @@ struct State {
     /// The ordered delivery stream's only sender; `None` once the member
     /// is stopped or its inbox is gone, so the application's receive
     /// loop sees the stream disconnect.
-    dtx: Option<crossbeam::channel::Sender<Delivery>>,
+    dtx: Option<std::sync::mpsc::Sender<Delivery>>,
     stats: Arc<OrderStats>,
     /// Broadcast → total-order self-delivery latency (the "order" stage
     /// of the AGS lifecycle).
@@ -1512,7 +1512,9 @@ pub struct SeqMember {
     me: HostId,
     net: SeqNet,
     state: Arc<Mutex<State>>,
-    deliveries: crossbeam::channel::Receiver<Delivery>,
+    /// Locked so the member can be shared between threads: a std
+    /// `Receiver` is `Send` but not `Sync`.
+    deliveries: Mutex<std::sync::mpsc::Receiver<Delivery>>,
     stats: Arc<OrderStats>,
     stop: Arc<AtomicBool>,
     obs: Arc<linda_obs::Registry>,
@@ -1616,7 +1618,7 @@ impl SeqGroup {
         lane: TcpLane,
         universe: Vec<HostId>,
         me: HostId,
-        rx: crossbeam::channel::Receiver<NetEvent<SeqMsg>>,
+        rx: std::sync::mpsc::Receiver<NetEvent<SeqMsg>>,
         batch: BatchConfig,
         ckpt: CheckpointConfig,
         local_base: u64,
@@ -1652,14 +1654,14 @@ impl SeqGroup {
         me: HostId,
         net: SeqNet,
         universe: &[HostId],
-        rx: crossbeam::channel::Receiver<NetEvent<SeqMsg>>,
+        rx: std::sync::mpsc::Receiver<NetEvent<SeqMsg>>,
         stats: Arc<OrderStats>,
         initially_joined: bool,
         batch: BatchConfig,
         ckpt: CheckpointConfig,
         local_base: u64,
     ) -> SeqMember {
-        let (dtx, drx) = crossbeam::channel::unbounded();
+        let (dtx, drx) = std::sync::mpsc::channel();
         let live: BTreeSet<HostId> = universe.iter().copied().collect();
         let obs = Arc::new(linda_obs::Registry::new());
         let order_hist = obs.histogram(
@@ -1755,7 +1757,7 @@ impl SeqGroup {
             me,
             net: net.clone(),
             state: state.clone(),
-            deliveries: drx,
+            deliveries: Mutex::new(drx),
             stats,
             stop: stop.clone(),
             obs,
@@ -1772,8 +1774,8 @@ impl SeqGroup {
                 }
                 let first = match rx.recv_timeout(tick) {
                     Ok(ev) => Some(ev),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
+                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
                         // A restart replaced our inbox: close the stream.
                         state.lock().dtx = None;
                         break;
@@ -1965,9 +1967,11 @@ impl SeqMember {
         local
     }
 
-    /// The ordered delivery stream.
-    pub fn deliveries(&self) -> &crossbeam::channel::Receiver<Delivery> {
-        &self.deliveries
+    /// The ordered delivery stream, locked for as long as the guard
+    /// lives: a consumer that reads it for its whole life (the runtime's
+    /// apply thread) takes the guard once and holds it.
+    pub fn deliveries(&self) -> MutexGuard<'_, std::sync::mpsc::Receiver<Delivery>> {
+        self.deliveries.lock()
     }
 
     /// Stop this member's protocol thread (teardown) and close the

@@ -26,13 +26,13 @@ use crate::net::{Heartbeat, HostId, NetEvent};
 use crate::sequencer::SeqMsg;
 use crate::stats::NetStats;
 use crate::wire::{decode_seq_msg, encode_seq_msg, MAX_FRAME_BYTES};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use linda_obs::{Counter, Event, EventSink, Gauge, Histogram, Registry};
 use linda_tuple::{get_uvarint, put_uvarint};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,7 +158,7 @@ impl TcpConfig {
 }
 
 struct PeerLink {
-    tx: Sender<Arc<Vec<u8>>>,
+    tx: SyncSender<Arc<Vec<u8>>>,
     connected: AtomicBool,
     sent_bytes: Arc<Counter>,
     recv_bytes: Arc<Counter>,
@@ -197,12 +197,14 @@ impl MeshInner {
         let Some(link) = self.links.get(&to) else {
             return;
         };
+        // Count the frame before it is queued, so the writer's `-1` for
+        // it can never land first and drive the gauge below zero.
+        link.queue_depth.add(1);
         if !link.connected.load(Ordering::Relaxed) || link.tx.try_send(frame.clone()).is_err() {
+            link.queue_depth.add(-1);
             link.dropped.inc();
-            link.queue_depth.set(link.tx.len() as i64);
             return;
         }
-        link.queue_depth.set(link.tx.len() as i64);
         self.stats.record_msg(frame.len());
     }
 
@@ -276,7 +278,7 @@ impl TcpMesh {
         );
         let queue_depth = obs.gauge_family(
             "ftlinda_net_queue_depth",
-            "Outbound frames queued per TCP link at the last send",
+            "Outbound frames queued per TCP link",
         );
         let encode_hist = obs.histogram(
             "ftlinda_frame_encode_seconds",
@@ -291,7 +293,7 @@ impl TcpMesh {
         let mut lanes_tx = Vec::new();
         let mut lanes_rx = Vec::new();
         for _ in 0..cfg.lanes.max(1) {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             lanes_tx.push(tx);
             lanes_rx.push(rx);
         }
@@ -301,7 +303,7 @@ impl TcpMesh {
         for (peer, addr) in cfg.peers.iter().filter(|(h, _)| *h != cfg.me) {
             let label = peer.0.to_string();
             let labels: &[(&str, &str)] = &[("peer", &label)];
-            let (tx, rx) = bounded(SEND_QUEUE);
+            let (tx, rx) = sync_channel(SEND_QUEUE);
             links.insert(
                 *peer,
                 PeerLink {
@@ -493,7 +495,9 @@ fn writer_loop(
         link.connected.store(true, Ordering::Relaxed);
         // Drain stale frames queued while we were down: they were
         // logically dropped already.
-        while rx.try_recv().is_ok() {}
+        while rx.try_recv().is_ok() {
+            link.queue_depth.add(-1);
+        }
         loop {
             if inner.stopped() {
                 let _ = stream.shutdown(Shutdown::Both);
@@ -501,13 +505,14 @@ fn writer_loop(
             }
             match rx.recv_timeout(Duration::from_millis(100)) {
                 Ok(frame) => {
+                    link.queue_depth.add(-1);
                     if stream.write_all(&frame).is_err() {
                         break;
                     }
                     link.sent_bytes.add(frame.len() as u64);
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
                     let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }

@@ -74,7 +74,7 @@ impl SeqNet {
     }
 
     /// Restart a host's inbox (simulation only).
-    pub fn restart(&self, host: HostId) -> Option<crossbeam::channel::Receiver<NetEvent<SeqMsg>>> {
+    pub fn restart(&self, host: HostId) -> Option<std::sync::mpsc::Receiver<NetEvent<SeqMsg>>> {
         match self {
             SeqNet::Sim(net) => Some(net.restart(host)),
             SeqNet::Tcp(_) => None,

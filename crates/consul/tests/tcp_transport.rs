@@ -41,7 +41,7 @@ fn hello(id: u32) -> Vec<u8> {
 /// tests below play member 1 with a raw socket.
 fn start_mesh() -> (
     TcpMesh,
-    Vec<crossbeam::channel::Receiver<NetEvent<SeqMsg>>>,
+    Vec<std::sync::mpsc::Receiver<NetEvent<SeqMsg>>>,
     Vec<SocketAddr>,
     Registry,
 ) {
@@ -54,7 +54,7 @@ fn start_mesh() -> (
 /// The mesh must still be able to deliver (loopback bypasses the
 /// socket, so this proves the reader threads didn't take the process
 /// down — the decode path is `catch`-free; a panic would abort).
-fn assert_mesh_alive(mesh: &TcpMesh, rx: &crossbeam::channel::Receiver<NetEvent<SeqMsg>>) {
+fn assert_mesh_alive(mesh: &TcpMesh, rx: &std::sync::mpsc::Receiver<NetEvent<SeqMsg>>) {
     mesh.lane(0).send(
         HostId(0),
         SeqMsg::Ping {
@@ -223,6 +223,70 @@ fn two_meshes_converse_and_count_bytes() {
     let recv = family_sum(&obs1, "ftlinda_net_recv_bytes_total");
     assert!(sent > 0, "sender must count link bytes");
     assert!(recv > 0, "receiver must count link bytes");
+    m0.shutdown();
+    m1.shutdown();
+}
+
+/// `ftlinda_net_queue_depth` counts the frames queued on a link right
+/// now: a sampler reading it throughout a burst over a live mesh pair
+/// never sees it negative, and it is back to 0 once every frame has been
+/// written.
+#[test]
+fn queue_depth_gauge_returns_to_zero_after_a_burst() {
+    const BURST: u64 = 2000;
+    let addrs = free_addrs(2);
+    let obs0 = Registry::default();
+    let obs1 = Registry::default();
+    let (m0, _rx0) = TcpMesh::start(TcpConfig::new(HostId(0), &addrs, 1), &obs0).unwrap();
+    let (m1, rx1) = TcpMesh::start(TcpConfig::new(HostId(1), &addrs, 1), &obs1).unwrap();
+    let submit = |local: u64| SeqMsg::Submit {
+        local,
+        payload: Bytes::from_static(b"queued"),
+    };
+    // Wait for the link to come up: frames sent while it is down are
+    // dropped.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        m0.lane(0).send(HostId(1), submit(0));
+        if let Ok(NetEvent::Msg { .. }) = rx1[0].recv_timeout(Duration::from_millis(100)) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "link never came up");
+    }
+    let depth = obs0
+        .gauge_family("ftlinda_net_queue_depth", "")
+        .with(&[("peer", "1")]);
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let sampler = {
+        let (depth, done) = (depth.clone(), done.clone());
+        std::thread::spawn(move || {
+            let mut min = 0;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                min = min.min(depth.get());
+            }
+            min
+        })
+    };
+    for local in 1..=BURST {
+        m0.lane(0).send(HostId(1), submit(local));
+    }
+    let mut last = 0;
+    while last < BURST {
+        match rx1[0].recv_timeout(Duration::from_millis(100)) {
+            Ok(NetEvent::Msg {
+                msg: SeqMsg::Submit { local, .. },
+                ..
+            }) if local > 0 => last = local,
+            Ok(_) => {}
+            Err(_) => assert!(Instant::now() < deadline, "burst stalled at {last}"),
+        }
+    }
+    while depth.get() != 0 {
+        assert!(Instant::now() < deadline, "depth stuck at {}", depth.get());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    done.store(true, std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(sampler.join().unwrap(), 0, "the gauge read negative");
     m0.shutdown();
     m1.shutdown();
 }

@@ -28,7 +28,6 @@
 
 use crate::error::FtError;
 use consul_sim::{Delivery, HostId, LocalId, SeqMember};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use ftlinda_ags::{
     imbalance_bp, shard_of, static_keys, Ags, AgsOutcome, MatchField, Operand, ScratchId, TsId,
 };
@@ -39,8 +38,10 @@ use ftlinda_kernel::{
 use linda_space::LocalSpace;
 use linda_tuple::{PatField, Pattern, Tuple, Value};
 use parking_lot::Mutex;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,7 +56,7 @@ pub enum FtEvent {
     HostJoined(HostId),
 }
 
-type CompletionTx = Sender<Result<CompletionOk, FtError>>;
+type CompletionTx = SyncSender<Result<CompletionOk, FtError>>;
 
 /// Observability configuration for one [`Runtime`] (set through
 /// [`crate::ClusterBuilder`]; [`Runtime::new`] uses the defaults).
@@ -146,22 +147,19 @@ struct Shared {
     xcommit_retries: Arc<linda_obs::CounterFamily>,
 }
 
-/// Threads that run until their owner stops them, and the channel that
-/// stops the periodic ones. Nothing is ever sent on it: dropping the
+/// Threads that run until their owner stops them, and one stop channel
+/// per periodic thread. Nothing is ever sent on those: dropping the
 /// sender is the stop signal, so a periodic thread wakes for its next
 /// tick or for shutdown, and never sleeps past either.
 pub(crate) struct Workers {
-    stop: Mutex<Option<Sender<()>>>,
-    stopped: Receiver<()>,
+    stops: Mutex<Vec<Sender<()>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Workers {
     pub(crate) fn new() -> Workers {
-        let (stop, stopped) = crossbeam::channel::bounded(0);
         Workers {
-            stop: Mutex::new(Some(stop)),
-            stopped,
+            stops: Mutex::new(Vec::new()),
             handles: Mutex::new(Vec::new()),
         }
     }
@@ -179,7 +177,7 @@ impl Workers {
         period: Duration,
         mut tick: impl FnMut() + Send + 'static,
     ) {
-        let stopped = self.stopped.clone();
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name(name)
             .spawn(move || {
@@ -188,13 +186,14 @@ impl Workers {
                 }
             })
             .expect("spawn periodic thread");
+        self.stops.lock().push(stop);
         self.adopt(handle);
     }
 
     /// End the periodic threads and join every thread; a no-op after the
     /// first call.
     pub(crate) fn stop(&self) {
-        self.stop.lock().take();
+        self.stops.lock().clear();
         for h in std::mem::take(&mut *self.handles.lock()) {
             let _ = h.join();
         }
@@ -265,7 +264,7 @@ impl Runtime {
         let mut lanes = Vec::with_capacity(members.len());
         let mut note_rxs = Vec::with_capacity(members.len());
         for (i, member) in members.into_iter().enumerate() {
-            let (note_tx, note_rx) = crossbeam::channel::unbounded::<KernelNote>();
+            let (note_tx, note_rx) = std::sync::mpsc::channel::<KernelNote>();
             let mut kernel = Kernel::new(host, note_tx);
             kernel.set_store_config(config.store);
             for (sig, cfg) in &config.store_overrides {
@@ -323,8 +322,9 @@ impl Runtime {
         std::thread::Builder::new()
             .name(format!("ftlinda-apply-{host}-s{lane_idx}"))
             .spawn(move || {
-                while let Ok(d) = member.deliveries().recv() {
-                    Self::apply_run(&shared, lane_idx, &note_rx, d);
+                let deliveries = member.deliveries();
+                while let Ok(d) = deliveries.recv() {
+                    Self::apply_run(&shared, lane_idx, &deliveries, &note_rx, d);
                 }
                 let mut w = shared.waiting.lock();
                 for (_, (tx, _)) in w.drain() {
@@ -336,7 +336,13 @@ impl Runtime {
 
     /// Apply `d` and whatever else is already queued behind it on one
     /// lane, then route the kernel notes the run produced.
-    fn apply_run(shared: &Shared, lane_idx: usize, note_rx: &Receiver<KernelNote>, d: Delivery) {
+    fn apply_run(
+        shared: &Shared,
+        lane_idx: usize,
+        deliveries: &Receiver<Delivery>,
+        note_rx: &Receiver<KernelNote>,
+        d: Delivery,
+    ) {
         let member = &shared.lanes[lane_idx].member;
         let host = member.host();
         // Pipelining: a batched multicast (or a replayed
@@ -344,7 +350,7 @@ impl Runtime {
         // and apply the whole run under one kernel lock instead
         // of re-acquiring per record.
         let mut run = vec![d];
-        run.extend(member.deliveries().try_iter().take(255));
+        run.extend(deliveries.try_iter().take(255));
         let pending = {
             let mut k = shared.lanes[lane_idx].kernel.lock();
             k.apply_all(&run);
@@ -540,7 +546,7 @@ impl Runtime {
 
     /// Subscribe to failure/recovery events.
     pub fn events(&self) -> Receiver<FtEvent> {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         self.shared.events.lock().push(tx);
         rx
     }
@@ -550,7 +556,7 @@ impl Runtime {
         shard: usize,
         req: &Request,
     ) -> (Receiver<Result<CompletionOk, FtError>>, LocalId) {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let t0 = Instant::now();
         let kind = match req {
             Request::CreateTs { .. } => "create",
@@ -838,13 +844,10 @@ impl Runtime {
         match self.route(ags) {
             Ok(RouteTo::Single(s)) => {
                 let (rx, local) = self.submit_on(s, &Request::Ags(ags.clone()));
-                AgsHandle {
-                    rx,
-                    trace: linda_obs::TraceId::new(self.host.0, local),
-                }
+                AgsHandle::new(rx, linda_obs::TraceId::new(self.host.0, local))
             }
             Ok(RouteTo::Cross(keys)) => {
-                let (tx, rx) = crossbeam::channel::bounded(1);
+                let (tx, rx) = std::sync::mpsc::sync_channel(1);
                 let rt = self.clone();
                 let ags = ags.clone();
                 std::thread::Builder::new()
@@ -856,18 +859,12 @@ impl Runtime {
                         );
                     })
                     .expect("spawn cross-shard driver");
-                AgsHandle {
-                    rx,
-                    trace: linda_obs::TraceId::new(self.host.0, 0),
-                }
+                AgsHandle::new(rx, linda_obs::TraceId::new(self.host.0, 0))
             }
             Err(e) => {
-                let (tx, rx) = crossbeam::channel::bounded(1);
+                let (tx, rx) = std::sync::mpsc::sync_channel(1);
                 let _ = tx.send(Err(e));
-                AgsHandle {
-                    rx,
-                    trace: linda_obs::TraceId::new(self.host.0, 0),
-                }
+                AgsHandle::new(rx, linda_obs::TraceId::new(self.host.0, 0))
             }
         }
     }
@@ -1329,10 +1326,20 @@ fn report_json(r: &IntrospectReport, top_k: usize) -> String {
 /// An in-flight AGS submitted with [`Runtime::execute_async`].
 pub struct AgsHandle {
     rx: Receiver<Result<CompletionOk, FtError>>,
+    /// The outcome once [`AgsHandle::is_ready`] has taken it off `rx`.
+    ready: OnceCell<Result<CompletionOk, FtError>>,
     trace: linda_obs::TraceId,
 }
 
 impl AgsHandle {
+    fn new(rx: Receiver<Result<CompletionOk, FtError>>, trace: linda_obs::TraceId) -> AgsHandle {
+        AgsHandle {
+            rx,
+            ready: OnceCell::new(),
+            trace,
+        }
+    }
+
     /// The causal trace id of this AGS — the key for `/trace/<id>` on the
     /// cluster's HTTP exporters and [`crate::Cluster::trace`].
     pub fn trace_id(&self) -> linda_obs::TraceId {
@@ -1340,27 +1347,41 @@ impl AgsHandle {
     }
     /// Block for the outcome.
     pub fn wait(self) -> Result<AgsOutcome, FtError> {
-        match self.rx.recv().map_err(|_| FtError::Shutdown)?? {
-            CompletionOk::Ags(o) => Ok(o),
-            other => unreachable!("AGS resolved as {other:?}"),
-        }
+        let r = match self.ready.into_inner() {
+            Some(r) => r,
+            None => self.rx.recv().map_err(|_| FtError::Shutdown)?,
+        };
+        ags_outcome(r)
     }
 
     /// Block with a deadline (see [`Runtime::execute_timeout`] caveats).
     pub fn wait_timeout(self, t: Duration) -> Result<AgsOutcome, FtError> {
-        match self.rx.recv_timeout(t) {
-            Ok(r) => match r? {
-                CompletionOk::Ags(o) => Ok(o),
-                other => unreachable!("AGS resolved as {other:?}"),
+        let r = match self.ready.into_inner() {
+            Some(r) => r,
+            None => match self.rx.recv_timeout(t) {
+                Ok(r) => r,
+                Err(RecvTimeoutError::Timeout) => return Err(FtError::Timeout),
+                Err(RecvTimeoutError::Disconnected) => return Err(FtError::Shutdown),
             },
-            Err(RecvTimeoutError::Timeout) => Err(FtError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(FtError::Shutdown),
-        }
+        };
+        ags_outcome(r)
     }
 
-    /// Whether the outcome has arrived (non-blocking probe).
+    /// Whether the outcome has arrived (non-blocking probe). An arrived
+    /// outcome is kept for [`AgsHandle::wait`].
     pub fn is_ready(&self) -> bool {
-        !self.rx.is_empty()
+        // At most one outcome is ever sent, so `set` cannot find one.
+        if let Ok(r) = self.rx.try_recv() {
+            let _ = self.ready.set(r);
+        }
+        self.ready.get().is_some()
+    }
+}
+
+fn ags_outcome(r: Result<CompletionOk, FtError>) -> Result<AgsOutcome, FtError> {
+    match r? {
+        CompletionOk::Ags(o) => Ok(o),
+        other => unreachable!("AGS resolved as {other:?}"),
     }
 }
 

@@ -22,20 +22,22 @@ use crate::error::FtError;
 use crate::runtime::Runtime;
 use ftlinda_ags::{Ags, AgsOutcome, TsId};
 use linda_obs::TraceId;
+use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
 enum RpcRequest {
     CreateTs {
         name: String,
-        reply: crossbeam::channel::Sender<Result<TsId, FtError>>,
+        reply: SyncSender<Result<TsId, FtError>>,
     },
     Execute {
         ags: Box<Ags>,
-        reply: crossbeam::channel::Sender<Result<AgsOutcome, FtError>>,
+        reply: SyncSender<Result<AgsOutcome, FtError>>,
     },
     /// Ends the handler that receives it ([`TupleServer::stop`] sends one
     /// per handler).
@@ -45,7 +47,7 @@ enum RpcRequest {
 /// A request handler running on a replica-hosting machine, serving
 /// library calls forwarded from non-replica hosts.
 pub struct TupleServer {
-    tx: crossbeam::channel::Sender<RpcRequest>,
+    tx: Sender<RpcRequest>,
     /// Handler threads still running; zeroed by [`TupleServer::stop`].
     handlers: AtomicUsize,
     rt: Runtime,
@@ -61,7 +63,11 @@ impl TupleServer {
     /// at least one handler came up before the failure, the error still
     /// tears the partial server down (its `Drop` stops the survivors).
     pub fn start(rt: Runtime, handlers: usize) -> std::io::Result<TupleServer> {
-        let (tx, rx) = crossbeam::channel::unbounded::<RpcRequest>();
+        let (tx, rx) = channel::<RpcRequest>();
+        // The handlers share one queue. Each holds its lock only to take
+        // a request, never while serving one, so a handler blocked in a
+        // call leaves the others free to take the next request.
+        let rx: Arc<Mutex<Receiver<RpcRequest>>> = Arc::new(Mutex::new(rx));
         let mut server = TupleServer {
             tx,
             handlers: AtomicUsize::new(0),
@@ -72,17 +78,16 @@ impl TupleServer {
             let rt = server.rt.clone();
             std::thread::Builder::new()
                 .name(format!("tuple-server-{i}"))
-                .spawn(move || {
-                    while let Ok(req) = rx.recv() {
-                        match req {
-                            RpcRequest::CreateTs { name, reply } => {
-                                let _ = reply.send(rt.create_stable_ts(&name));
-                            }
-                            RpcRequest::Execute { ags, reply } => {
-                                let _ = reply.send(rt.execute(&ags));
-                            }
-                            RpcRequest::Stop => return,
+                .spawn(move || loop {
+                    let req = rx.lock().recv();
+                    match req {
+                        Ok(RpcRequest::CreateTs { name, reply }) => {
+                            let _ = reply.send(rt.create_stable_ts(&name));
                         }
+                        Ok(RpcRequest::Execute { ags, reply }) => {
+                            let _ = reply.send(rt.execute(&ags));
+                        }
+                        Ok(RpcRequest::Stop) | Err(_) => return,
                     }
                 })?;
             *server.handlers.get_mut() += 1;
@@ -126,7 +131,7 @@ impl Drop for TupleServer {
 /// AGS cost.
 #[derive(Clone)]
 pub struct RpcClient {
-    tx: crossbeam::channel::Sender<RpcRequest>,
+    tx: Sender<RpcRequest>,
     latency: Duration,
 }
 
@@ -139,7 +144,7 @@ impl RpcClient {
 
     /// Create (or look up) a stable space via the server.
     pub fn create_stable_ts(&self, name: &str) -> Result<TsId, FtError> {
-        let (rtx, rrx) = crossbeam::channel::bounded(1);
+        let (rtx, rrx) = sync_channel(1);
         self.hop();
         self.tx
             .send(RpcRequest::CreateTs {
@@ -154,7 +159,7 @@ impl RpcClient {
 
     /// Execute an AGS via the server (blocking).
     pub fn execute(&self, ags: &Ags) -> Result<AgsOutcome, FtError> {
-        let (rtx, rrx) = crossbeam::channel::bounded(1);
+        let (rtx, rrx) = sync_channel(1);
         self.hop();
         self.tx
             .send(RpcRequest::Execute {
@@ -535,6 +540,50 @@ mod tests {
             .execute(&Ags::in_one(ts, vec![MF::actual("x"), MF::bind(TypeTag::Int)]).unwrap())
             .unwrap();
         assert_eq!(o.bindings[0].as_int(), Some(1));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_blocked_handler_leaves_the_other_serving() {
+        let (cluster, rts) = Cluster::new(2);
+        let server = TupleServer::start(rts[0].clone(), 2).unwrap();
+        let ts = server
+            .client(Duration::ZERO)
+            .create_stable_ts("main")
+            .unwrap();
+        let blocked = {
+            let client = server.client(Duration::ZERO);
+            std::thread::spawn(move || {
+                client.execute(&Ags::in_one(ts, vec![MF::actual("missing")]).unwrap())
+            })
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while rts[0].blocked_len() == 0 {
+            assert!(std::time::Instant::now() < deadline, "the in never blocked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // One handler is inside the blocked `in`; the other must serve
+        // this `out`, which in turn releases the `in`.
+        let (done_tx, done_rx) = channel();
+        let client = server.client(Duration::ZERO);
+        std::thread::spawn(move || {
+            let _ = done_tx.send(client.execute(&Ags::out_one(ts, vec![Operand::cst("missing")])));
+        });
+        let served = done_rx.recv_timeout(Duration::from_secs(5));
+        assert!(matches!(served, Ok(Ok(_))), "out not served: {served:?}");
+        assert!(blocked.join().unwrap().is_ok());
+        // After `stop` both handlers exit and drop the request queue, so
+        // a further call fails instead of being served.
+        server.stop();
+        let client = server.client(Duration::ZERO);
+        let (done_tx, done_rx) = channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(client.execute(&Ags::out_one(ts, vec![Operand::cst(1)])));
+        });
+        assert_eq!(
+            done_rx.recv_timeout(Duration::from_secs(5)),
+            Ok(Err(FtError::Shutdown))
+        );
         cluster.shutdown();
     }
 

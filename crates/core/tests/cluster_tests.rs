@@ -344,6 +344,16 @@ fn execute_async_pipelines_submissions() {
         h.wait_timeout(Duration::from_millis(50)),
         Err(FtError::Timeout)
     );
+    // Once the guard is satisfied the probe turns true, and the outcome
+    // it saw is still there for `wait`.
+    let h = rts[2].execute_async(
+        &Ags::in_one(ts, vec![MF::actual("later"), MF::bind(TypeTag::Int)]).unwrap(),
+    );
+    assert!(!h.is_ready());
+    rts[0].out(ts, tuple!("later", 7)).unwrap();
+    wait_until("the blocked in to complete", || h.is_ready());
+    assert!(h.is_ready());
+    assert_eq!(h.wait().unwrap().bindings, vec![Value::Int(7)]);
     cluster.shutdown();
 }
 

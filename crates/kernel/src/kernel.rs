@@ -398,7 +398,7 @@ pub struct Kernel {
     /// after an AGS fires touch matching guards instead of rescanning
     /// the whole queue (`Fail` records still trigger a full pass).
     guard_index: HashMap<(TsId, u64), BTreeSet<u64>>,
-    notes: crossbeam::channel::Sender<KernelNote>,
+    notes: std::sync::mpsc::Sender<KernelNote>,
     applied: u64,
     /// Image produced by the last `Delivery::Checkpoint` boundary, held
     /// until the runtime hands it to the ordering layer for compaction.
@@ -419,7 +419,7 @@ pub struct Kernel {
 
 impl Kernel {
     /// Create a kernel for `host`; notifications go to `notes`.
-    pub fn new(host: HostId, notes: crossbeam::channel::Sender<KernelNote>) -> Self {
+    pub fn new(host: HostId, notes: std::sync::mpsc::Sender<KernelNote>) -> Self {
         Kernel {
             host,
             stables: BTreeMap::new(),
@@ -1942,8 +1942,8 @@ mod tests {
     use linda_tuple::TypeTag::*;
     use linda_tuple::Value;
 
-    fn kernel() -> (Kernel, crossbeam::channel::Receiver<KernelNote>) {
-        let (tx, rx) = crossbeam::channel::unbounded();
+    fn kernel() -> (Kernel, std::sync::mpsc::Receiver<KernelNote>) {
+        let (tx, rx) = std::sync::mpsc::channel();
         (Kernel::new(HostId(0), tx), rx)
     }
 
@@ -2248,8 +2248,8 @@ mod tests {
 
     #[test]
     fn two_kernels_converge_on_same_stream() {
-        let (tx1, _r1) = crossbeam::channel::unbounded();
-        let (tx2, _r2) = crossbeam::channel::unbounded();
+        let (tx1, _r1) = std::sync::mpsc::channel();
+        let (tx2, _r2) = std::sync::mpsc::channel();
         let mut k1 = Kernel::new(HostId(0), tx1);
         let mut k2 = Kernel::new(HostId(1), tx2);
         let stream = vec![
@@ -2303,8 +2303,8 @@ mod tests {
 
     #[test]
     fn digest_differs_on_diverged_state() {
-        let (tx1, _r1) = crossbeam::channel::unbounded();
-        let (tx2, _r2) = crossbeam::channel::unbounded();
+        let (tx1, _r1) = std::sync::mpsc::channel();
+        let (tx2, _r2) = std::sync::mpsc::channel();
         let mut k1 = Kernel::new(HostId(0), tx1);
         let mut k2 = Kernel::new(HostId(1), tx2);
         let create = app(1, 0, 1, &Request::CreateTs { name: "m".into() });
@@ -2824,7 +2824,7 @@ mod tests {
     #[test]
     fn sharded_fail_tuples_partition_without_overlap() {
         let mk = |index| {
-            let (tx, _rx) = crossbeam::channel::unbounded();
+            let (tx, _rx) = std::sync::mpsc::channel();
             let mut k = Kernel::new(HostId(0), tx);
             k.set_shard(ShardSpec { index, count: 2 });
             for (seq, name) in [(1, "a"), (2, "b"), (3, "c")] {

@@ -104,8 +104,8 @@ proptest! {
 
         // Replicas fed the two streams agree at every prefix — batching
         // is invisible to the state machine.
-        let (tx_a, _rx_a) = crossbeam::channel::unbounded();
-        let (tx_b, _rx_b) = crossbeam::channel::unbounded();
+        let (tx_a, _rx_a) = std::sync::mpsc::channel();
+        let (tx_b, _rx_b) = std::sync::mpsc::channel();
         let mut ka = Kernel::new(HostId(2), tx_a);
         let mut kb = Kernel::new(HostId(2), tx_b);
         for (da, db) in batched.iter().zip(solo.iter()) {

@@ -93,7 +93,7 @@ fn deliveries(steps: &[Step]) -> Vec<Delivery> {
 }
 
 fn fresh_kernel() -> Kernel {
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     // Notes are irrelevant here; keep the receiver alive via leak-free
     // drop at scope end (unbounded send never blocks).
     std::mem::forget(rx);

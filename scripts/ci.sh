@@ -15,6 +15,13 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark crate (perfbench) build and tests"
+# perfbench is a Cargo workspace of its own, so nothing above builds
+# it; this catches a crate API change that would break the benchmark.
+# Cargo refreshes perfbench/Cargo.lock when workspace dependencies
+# change; the lock file is not part of this check.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> ordering-layer suites, 5 more runs"
 # Zero-delay sends hand a message to the receiver's inbox on the
 # sender's thread, so these suites run thread handoffs back to back; a

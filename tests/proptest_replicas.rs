@@ -162,7 +162,7 @@ fn build_stream(events: &[Event]) -> Vec<Delivery> {
 }
 
 fn run_kernel(host: u32, stream: &[Delivery]) -> Kernel {
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     std::mem::forget(rx);
     let mut k = Kernel::new(HostId(host), tx);
     for d in stream {
@@ -209,7 +209,7 @@ proptest! {
         let stream = build_stream(&events);
         let cut = ((stream.len() as f64) * cut_frac) as usize;
         let whole = run_kernel(0, &stream);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         std::mem::forget(rx);
         let mut split = Kernel::new(HostId(0), tx);
         for d in &stream[..cut] {
